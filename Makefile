@@ -30,7 +30,8 @@ crash-smoke:
 
 # Cluster smoke test: three simd shards behind simrouter on real
 # sockets. A routed sweep must be byte-identical to single-node simd,
-# a second pass must be all cache hits, a shard killed with SIGKILL
+# a second pass sent as two concurrent batches must be all cache hits,
+# a shard killed with SIGKILL
 # mid-batch must not lose the batch (hedged failover, zero determinism
 # probe mismatches), and the restarted shard must be re-admitted.
 # check.sh runs this too.
@@ -59,7 +60,7 @@ bench:
 	GOMAXPROCS=4 go run ./cmd/paperbench -exp all -parallel 1 -intra 4 -checkpoints -json BENCH_pr10.json
 
 # Wall-time regression gate against the committed benchmark baseline:
-# re-runs every table in BENCH_pr8.json and fails on any >1.5x slowdown
+# re-runs every table in BENCH_pr10.json and fails on any >1.5x slowdown
 # (knobs: BASELINE/TOL/PARALLEL/INTRA). Opt-in — wall times are too
 # machine-dependent for `make check`.
 bench-gate:

@@ -56,14 +56,15 @@ sh scripts/crash_smoke.sh
 
 # Cluster smoke: three simd shards behind simrouter over real sockets.
 # A routed sweep must be byte-identical to a single-node simd, a second
-# pass must be all cache hits (zero new engine runs, per the shards'
-# counters), a shard killed with SIGKILL mid-batch must not lose the
-# batch (hedged failover, zero determinism-probe mismatches, mark-down
-# by health probes), and restarting the shard must re-admit it.
+# pass sent as two concurrent batches must be all cache hits (no new
+# cache misses, per the shards' counters), a shard killed with SIGKILL
+# mid-batch must not lose the batch (hedged failover, zero
+# determinism-probe mismatches, mark-down by health probes), and
+# restarting the shard must re-admit it.
 sh scripts/cluster_smoke.sh
 
 # Wall-time regression gating is deliberately NOT part of this tier-1
 # gate: wall clocks are machine- and load-dependent, so the benchmark
 # baseline comparison is opt-in via `make bench-gate` (per-table
-# tolerance against the committed BENCH_pr8.json; see
+# tolerance against the committed BENCH_pr10.json; see
 # scripts/bench_gate.sh).

@@ -54,8 +54,8 @@ func main() {
 		checkpoints = flag.Bool("checkpoints", false,
 			"fork sweep jobs from cached prefix snapshots (byte-identical results)")
 		stateDir = flag.String("state-dir", "",
-			"crash-safe persistence directory: results journal to a WAL and prefix\n"+
-				"checkpoints to disk, and a restarted daemon recovers both (empty = in-memory)")
+			"crash-safe persistence directory: results journal to a WAL that a\n"+
+				"restarted daemon recovers (empty = in-memory)")
 		runBudget = flag.Duration("run-budget", 0,
 			"per-attempt wall budget; an over-budget run aborts with a structured\n"+
 				"transient error instead of wedging its worker (0 = none)")

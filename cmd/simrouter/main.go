@@ -2,8 +2,10 @@
 // cluster router (see internal/cluster and the README's "Running a
 // cluster" section): consistent-hash placement of content-addressed
 // specs with bounded loads, health-probe-driven membership, hedged
-// retries that double as cross-node determinism probes, replicated
-// hot-set caching, and per-tenant admission control.
+// retries that double as cross-node determinism probes, and per-tenant
+// admission control. Cache hits stay sticky on each spec's home shard:
+// the bounded-load ceiling only spills a key off a shard that is
+// carrying more than its share of in-flight work.
 //
 // Usage:
 //
@@ -56,10 +58,6 @@ func main() {
 			"consecutive probe failures before a shard is marked down")
 		readmitOKs = flag.Int("readmit-oks", 2,
 			"consecutive probe successes before a down shard is re-admitted")
-		hotsetK = flag.Int("hotset-k", 8,
-			"hottest content addresses replicated to every shard each interval")
-		hotsetInterval = flag.Duration("hotset-interval", 5*time.Second,
-			"period of the hot-set digest exchange")
 		tenantRate = flag.Float64("tenant-rate", 0,
 			"admission tokens (specs) per second per unit tenant weight (0 = no gate)")
 		tenantBurst = flag.Float64("tenant-burst", 0,
@@ -93,8 +91,6 @@ func main() {
 		ProbeInterval:  *probeInterval,
 		FailThreshold:  *failThreshold,
 		ReadmitOKs:     *readmitOKs,
-		HotSetK:        *hotsetK,
-		HotSetInterval: *hotsetInterval,
 		Admission: cluster.AdmissionConfig{
 			RatePerSec: *tenantRate,
 			BurstSec:   *tenantBurst,

@@ -134,7 +134,7 @@ var defaultAllow = map[string][]string{
 		"internal/sweep/",    // the one sanctioned home of parallelism
 		"internal/simserve/", // request handling + waiting on pool jobs
 		"cmd/simd/",          // HTTP serve loop + signal-driven shutdown
-		"internal/cluster/",  // concurrent forwarding, probe + hot-set loops
+		"internal/cluster/",  // concurrent forwarding + the probe loop
 		"cmd/simrouter/",     // HTTP serve loop + signal-driven shutdown
 	},
 }

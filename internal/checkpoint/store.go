@@ -21,9 +21,6 @@ type Store struct {
 	order   *list.List               // front = most recently used
 	entries map[string]*list.Element // key -> element whose Value is *entry
 	flights map[string]*flight
-	// disk is the optional persistent tier (AttachDisk): puts write
-	// through, memory misses fall through and promote hits.
-	disk *DiskStore
 
 	hits, misses, evictions uint64
 }
@@ -51,15 +48,6 @@ func NewStore(budgetBytes int64) *Store {
 	}
 }
 
-// AttachDisk adds a persistent tier: every Put also lands on disk
-// (atomically), and a memory miss falls through to disk, promoting a
-// hit back into memory. Attach before concurrent use; a nil d detaches.
-func (s *Store) AttachDisk(d *DiskStore) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.disk = d
-}
-
 // Get returns the blob stored under key. ok distinguishes "no entry"
 // from a stored negative (nil blob, ok=true) entry.
 func (s *Store) Get(key string) (blob []byte, ok bool) {
@@ -67,14 +55,6 @@ func (s *Store) Get(key string) (blob []byte, ok bool) {
 	defer s.mu.Unlock()
 	el, ok := s.entries[key]
 	if !ok {
-		if s.disk != nil {
-			if blob, ok := s.disk.Get(key); ok {
-				// Promote without re-writing disk (memPut, not put).
-				s.memPut(key, blob)
-				s.hits++
-				return blob, true
-			}
-		}
 		s.misses++
 		return nil, false
 	}
@@ -92,19 +72,8 @@ func (s *Store) Put(key string, blob []byte) {
 	s.put(key, blob)
 }
 
-// put is Put without locking; callers hold s.mu. The disk tier sees
-// every put, including blobs too large for the memory budget — disk
-// write errors are deliberately swallowed (the tier is an optimization,
-// and the Stats counters surface persistent trouble).
+// put is Put without locking; callers hold s.mu.
 func (s *Store) put(key string, blob []byte) {
-	if s.disk != nil {
-		_ = s.disk.Put(key, blob)
-	}
-	s.memPut(key, blob)
-}
-
-// memPut inserts into the memory tier only; callers hold s.mu.
-func (s *Store) memPut(key string, blob []byte) {
 	if s.budget > 0 && int64(len(blob)) > s.budget {
 		return
 	}
@@ -151,14 +120,6 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (blob [
 			s.mu.Unlock()
 			return b, false, nil
 		}
-		if s.disk != nil {
-			if b, ok := s.disk.Get(key); ok {
-				s.memPut(key, b)
-				s.hits++
-				s.mu.Unlock()
-				return b, false, nil
-			}
-		}
 		if f, ok := s.flights[key]; ok {
 			s.mu.Unlock()
 			<-f.done
@@ -191,30 +152,24 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (blob [
 	}
 }
 
-// StoreStats is a point-in-time snapshot of store counters. The Disk
-// fields stay zero until AttachDisk.
+// StoreStats is a point-in-time snapshot of store counters.
 type StoreStats struct {
 	Entries   int
 	UsedBytes int64
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	Disk      DiskStats
 }
 
 // Stats returns current counters.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := StoreStats{
+	return StoreStats{
 		Entries:   len(s.entries),
 		UsedBytes: s.used,
 		Hits:      s.hits,
 		Misses:    s.misses,
 		Evictions: s.evictions,
 	}
-	if s.disk != nil {
-		st.Disk = s.disk.Stats()
-	}
-	return st
 }

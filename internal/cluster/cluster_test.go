@@ -118,7 +118,7 @@ func TestRoutedSweepMatchesDirectAndHitsCache(t *testing.T) {
 	}
 	want := decodeResults(t, body)
 
-	lc, err := NewLocal(3, simserve.Config{}, RouterConfig{HotSetInterval: time.Hour})
+	lc, err := NewLocal(3, simserve.Config{}, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,10 @@ func TestClusterChurnHedgeCompletesAndReadmits(t *testing.T) {
 		return core.Result{SimTime: vclock.Duration(s.Seed) * vclock.Microsecond}, nil
 	}
 	lc, err := NewLocal(3, simserve.Config{Runner: slowRunner}, RouterConfig{
-		HedgeAfter:     40 * time.Millisecond,
-		ProbeInterval:  25 * time.Millisecond,
-		FailThreshold:  2,
-		ReadmitOKs:     2,
-		HotSetInterval: time.Hour,
+		HedgeAfter:    40 * time.Millisecond,
+		ProbeInterval: 25 * time.Millisecond,
+		FailThreshold: 2,
+		ReadmitOKs:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,8 +270,7 @@ func TestClusterChurnHedgeCompletesAndReadmits(t *testing.T) {
 // with a Retry-After while another tenant's bucket is untouched.
 func TestTenantAdmissionIsolatesTenants(t *testing.T) {
 	lc, err := NewLocal(1, simserve.Config{}, RouterConfig{
-		HotSetInterval: time.Hour,
-		Admission:      AdmissionConfig{RatePerSec: 1, BurstSec: 1}, // depth 1
+		Admission: AdmissionConfig{RatePerSec: 1, BurstSec: 1}, // depth 1
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,58 +296,11 @@ func TestTenantAdmissionIsolatesTenants(t *testing.T) {
 	}
 }
 
-// Hot-set replication: after one routed run and one digest exchange,
-// every shard serves the spec from its own cache.
-func TestHotsetReplicationWarmsEveryShard(t *testing.T) {
-	lc, err := NewLocal(3, simserve.Config{}, RouterConfig{
-		HotSetK:        4,
-		HotSetInterval: time.Hour, // driven manually below
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-
-	specs := []experiments.Spec{{Bench: "npb-ep.8", Seed: 21}}
-	code, _, body := postJobs(t, lc.RouterAddr, "", specs, true)
-	if code != http.StatusOK {
-		t.Fatalf("routed run: HTTP %d: %s", code, body)
-	}
-	want := decodeResults(t, body)[0]
-
-	lc.Router.PushHotSet()
-
-	// The two non-home shards promoted the pushed result; the home shard
-	// counted it as a duplicate of its own cache entry.
-	if promoted := scrapeCounter(t, "simserve_hotset_promoted", shardAddrs(lc)...); promoted != 2 {
-		t.Fatalf("hotset_promoted across shards = %d, want 2", promoted)
-	}
-	if dups := scrapeCounter(t, "simserve_hotset_duplicates", shardAddrs(lc)...); dups != 1 {
-		t.Fatalf("hotset_duplicates across shards = %d, want 1", dups)
-	}
-
-	// Every shard now answers directly from cache, byte-identically.
-	submitted := scrapeCounter(t, "simserve_jobs_submitted", shardAddrs(lc)...)
-	for _, addr := range shardAddrs(lc) {
-		code, _, body := postJobs(t, addr, "", specs, true)
-		if code != http.StatusOK {
-			t.Fatalf("shard %s: HTTP %d: %s", addr, code, body)
-		}
-		if got := decodeResults(t, body)[0]; !bytes.Equal(want, got) {
-			t.Fatalf("shard %s served different bytes for the replicated result", addr)
-		}
-	}
-	if after := scrapeCounter(t, "simserve_jobs_submitted", shardAddrs(lc)...); after != submitted {
-		t.Fatalf("direct re-serves ran %d fresh jobs, want 0", after-submitted)
-	}
-}
-
 // A router over a fully dead shard set refuses cleanly.
 func TestRouterNoLiveShards(t *testing.T) {
 	lc, err := NewLocal(1, simserve.Config{}, RouterConfig{
-		ProbeInterval:  time.Hour, // no background probes; driven by traffic
-		FailThreshold:  1,
-		HotSetInterval: time.Hour,
+		ProbeInterval: time.Hour, // no background probes; driven by traffic
+		FailThreshold: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +325,7 @@ func TestRouterNoLiveShards(t *testing.T) {
 // The router's metrics page renders the core counters (smoke, and a
 // regression guard for the sorted render helpers).
 func TestRouterMetricsRender(t *testing.T) {
-	lc, err := NewLocal(2, simserve.Config{}, RouterConfig{HotSetInterval: time.Hour})
+	lc, err := NewLocal(2, simserve.Config{}, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,10 @@ type RouterConfig struct {
 	// VNodes is the virtual-node count per shard (default 64).
 	VNodes int
 	// LoadFactor is the bounded-load ceiling factor c (default 1.25): a
-	// key skips its home shard while that shard carries more than
-	// c×⌈(inflight+1)/liveShards⌉ in-flight sub-batches. <= 1 disables
-	// load bounding (pure consistent hashing).
+	// key stays on its home shard while that shard's in-flight
+	// sub-batches are strictly below c×⌈(inflight+1)/liveShards⌉ and
+	// spills to the next replica past it. <= 1 disables load bounding
+	// (pure consistent hashing).
 	LoadFactor float64
 	// HedgeAfter launches a duplicate sub-batch on the next replica for
 	// any wait=true forward still unanswered after this long; the first
@@ -41,13 +42,6 @@ type RouterConfig struct {
 	ReadmitOKs    int
 	Probe         func(shard string) bool // test override
 
-	// HotSetK is the number of hottest content addresses replicated to
-	// every shard each HotSetInterval (default 8; 0 disables the
-	// exchange loop — PushHotSet can still be driven manually).
-	HotSetK int
-	// HotSetInterval is the digest-exchange period (default 5s).
-	HotSetInterval time.Duration
-
 	// Admission is the per-tenant token-bucket gate (zero RatePerSec
 	// admits everything).
 	Admission AdmissionConfig
@@ -63,12 +57,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 5 * time.Minute
 	}
-	if c.HotSetK <= 0 {
-		c.HotSetK = 8
-	}
-	if c.HotSetInterval <= 0 {
-		c.HotSetInterval = 5 * time.Second
-	}
 	return c
 }
 
@@ -80,7 +68,7 @@ var (
 )
 
 // Router is the stateless cluster front end: it owns no simulation
-// state, only soft state (liveness, hotness, in-flight counts) that any
+// state, only soft state (liveness, in-flight counts) that any
 // replacement router rebuilds from traffic. Losing a router loses
 // nothing but open connections.
 type Router struct {
@@ -88,19 +76,16 @@ type Router struct {
 	ring *Ring
 	mem  *Membership
 	adm  *Admission
-	hot  *hotTracker
 
 	clients map[string]*http.Client // per-shard connection pools
 
 	mu       sync.Mutex
 	inflight map[string]int // outstanding sub-batches by shard
 	m        *routerMetrics
-
-	stop chan struct{}
 }
 
 // NewRouter builds a router over the static shard list. Call Start to
-// launch the health-probe and hot-set loops, Close to stop them.
+// launch the health-probe loop, Close to stop it.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Shards) == 0 {
@@ -118,11 +103,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			Probe:         cfg.Probe,
 		}),
 		adm:      NewAdmission(cfg.Admission),
-		hot:      newHotTracker(),
 		clients:  make(map[string]*http.Client, len(cfg.Shards)),
 		inflight: make(map[string]int, len(cfg.Shards)),
 		m:        newRouterMetrics(),
-		stop:     make(chan struct{}),
 	}
 	for _, s := range cfg.Shards {
 		r.clients[s] = &http.Client{
@@ -137,23 +120,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return r, nil
 }
 
-// Start launches the background loops: periodic /healthz probing and
-// the hot-set digest exchange.
-func (r *Router) Start() {
-	r.mem.Start()
-	go r.hotsetLoop()
-}
+// Start launches the background /healthz probe loop.
+func (r *Router) Start() { r.mem.Start() }
 
-// Close stops the background loops. In-flight forwards complete on
-// their own contexts.
-func (r *Router) Close() {
-	select {
-	case <-r.stop:
-	default:
-		close(r.stop)
-	}
-	r.mem.Close()
-}
+// Close stops the probe loop. In-flight forwards complete on their own
+// contexts.
+func (r *Router) Close() { r.mem.Close() }
 
 // Membership exposes the liveness tracker (smoke tooling and tests).
 func (r *Router) Membership() *Membership { return r.mem }
@@ -274,7 +246,6 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		items[i] = specItem{idx: i, spec: n, id: id}
-		r.hot.Note(id)
 	}
 	r.mu.Lock()
 	r.m.specsTotal += int64(len(items))

@@ -28,10 +28,6 @@ type routerMetrics struct {
 	probeMismatches int64 // determinism violations across shards
 
 	admissionRejects int64 // requests refused by the tenant gate
-
-	hotsetRounds  int64 // digest exchanges that pushed at least one entry
-	hotsetEntries int64 // results included across all exchanges
-	hotsetPushes  int64 // successful per-shard pushes
 }
 
 func newRouterMetrics() *routerMetrics {
@@ -61,9 +57,6 @@ func (r *Router) renderMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrouter_probe_compares %d\n", m.probeCompares)
 	fmt.Fprintf(w, "simrouter_probe_mismatches %d\n", m.probeMismatches)
 	fmt.Fprintf(w, "simrouter_admission_rejects %d\n", m.admissionRejects)
-	fmt.Fprintf(w, "simrouter_hotset_rounds %d\n", m.hotsetRounds)
-	fmt.Fprintf(w, "simrouter_hotset_entries %d\n", m.hotsetEntries)
-	fmt.Fprintf(w, "simrouter_hotset_pushes %d\n", m.hotsetPushes)
 	forwards := make(map[string]int64, len(m.forwards))
 	for k, v := range m.forwards {
 		forwards[k] = v

@@ -14,8 +14,8 @@
 //
 // The package splits along the router's concerns: ring.go (placement),
 // membership.go (liveness), forwarder.go (request routing),
-// hedger.go (retry/hedge races), hotset.go (hot-result replication),
-// admission.go (per-tenant fair admission), metrics.go (/metrics).
+// hedger.go (retry/hedge races), admission.go (per-tenant fair
+// admission), metrics.go (/metrics).
 package cluster
 
 import (
@@ -118,12 +118,15 @@ func (r *Ring) Order(key string) []string {
 }
 
 // BoundedPick chooses the first shard in the key's preference order
-// that is both admitted by live and under the bounded-load ceiling
-// c×⌈(total+1)/n⌉, where total is the summed in-flight load over the n
-// live candidates ("consistent hashing with bounded loads"). If every
-// candidate is over the ceiling — a uniformly hot cluster — the
-// preferred shard wins, preserving cache locality. ok is false when no
-// candidate is live.
+// that is both admitted by live and strictly under the bounded-load
+// ceiling c×⌈(total+1)/n⌉, where total is the summed in-flight load
+// over the n live candidates ("consistent hashing with bounded loads",
+// Mirrokni, Thorup & Zadimoghaddam, SODA 2018). Rounding up keeps a
+// lightly loaded home shard sticky: with c > 1 the ceiling always
+// exceeds one, so a home shard carrying a single sub-batch never
+// spills. If every candidate is over the ceiling — a uniformly hot
+// cluster — the preferred shard wins, preserving cache locality. ok is
+// false when no candidate is live.
 func (r *Ring) BoundedPick(key string, c float64, live func(string) bool, load func(string) int) (string, bool) {
 	order := r.Order(key)
 	candidates := order[:0:0]
@@ -142,12 +145,10 @@ func (r *Ring) BoundedPick(key string, c float64, live func(string) bool, load f
 	if c <= 1 || load == nil {
 		return candidates[0], true
 	}
-	ceiling := int(c * float64(total+1) / float64(len(candidates)))
-	if ceiling < 1 {
-		ceiling = 1
-	}
+	n := len(candidates)
+	ceiling := c * float64((total+n)/n) // c × ⌈(total+1)/n⌉
 	for _, s := range candidates {
-		if load(s) < ceiling {
+		if float64(load(s)) < ceiling {
 			return s, true
 		}
 	}

@@ -107,8 +107,10 @@ func TestRingDistribution(t *testing.T) {
 	}
 }
 
-// Bounded loads spill a hot home shard to the next replica, and fall
-// back to the home shard when everyone is over the ceiling.
+// Bounded loads spill a hot home shard to the next replica, keep a
+// lightly loaded home shard sticky (the ceiling c×⌈(total+1)/n⌉ rounds
+// up, so one in-flight sub-batch never spills a key at c=1.25), and
+// fall back to the home shard when everyone is over the ceiling.
 func TestBoundedPickSpillsOverloadedShard(t *testing.T) {
 	shards := testShards(3)
 	r := NewRing(shards, 64)
@@ -125,6 +127,35 @@ func TestBoundedPickSpillsOverloadedShard(t *testing.T) {
 	got, ok := r.BoundedPick(key, 1.25, nil, load)
 	if !ok || got != second {
 		t.Fatalf("BoundedPick = %s, %v; want spill to %s", got, ok, second)
+	}
+
+	// One sub-batch in flight on the home shard stays under the ceiling
+	// whatever the cluster size: 1 < 1.25×⌈2/n⌉.
+	for _, n := range []int{2, 3} {
+		rn := NewRing(testShards(n), 64)
+		h := rn.Order(key)[0]
+		one := func(s string) int {
+			if s == h {
+				return 1
+			}
+			return 0
+		}
+		if got, ok := rn.BoundedPick(key, 1.25, nil, one); !ok || got != h {
+			t.Fatalf("%d shards, home load 1: BoundedPick = %s, %v; want home %s", n, got, ok, h)
+		}
+	}
+
+	// Home load 3 of total 3 over 2 shards: 3 >= 1.25×⌈4/2⌉ = 2.5 spills.
+	r2 := NewRing(testShards(2), 64)
+	o2 := r2.Order(key)
+	three := func(s string) int {
+		if s == o2[0] {
+			return 3
+		}
+		return 0
+	}
+	if got, ok := r2.BoundedPick(key, 1.25, nil, three); !ok || got != o2[1] {
+		t.Fatalf("2 shards, home load 3: BoundedPick = %s, %v; want spill to %s", got, ok, o2[1])
 	}
 
 	// c <= 1 disables bounding: pure consistent hashing.

@@ -207,12 +207,8 @@ type Result struct {
 	// Intra is the effective intra-run worker count: 1 + the number of
 	// device stepper lanes that ran (1 = fully serial).
 	Intra int
-	// HostWall is wall time attributable to the host engine goroutine
-	// (WallTime minus time spent blocked joining steppers is not
-	// separable, so HostWall == WallTime); DeviceWall is the cumulative
-	// stepper busy time, which overlaps HostWall when Intra > 1 and is
-	// folded into WallTime when serial.
-	HostWall   time.Duration
+	// DeviceWall is the cumulative stepper busy time, which overlaps
+	// WallTime when Intra > 1 and is folded into it when serial.
 	DeviceWall time.Duration
 }
 
@@ -343,7 +339,7 @@ func Build(cfg Config) *System {
 			lanes, devWall := eng.IntraStats()
 			return Result{SimTime: r.SimTime, WallTime: wall,
 				Host: cfg.Host, Accel: cfg.Accel, NEXStats: r.Stats,
-				Intra: 1 + lanes, HostWall: wall, DeviceWall: devWall}
+				Intra: 1 + lanes, DeviceWall: devWall}
 		}
 
 	case HostReference, HostGem5:
@@ -373,7 +369,7 @@ func Build(cfg Config) *System {
 			lanes, devWall := eng.IntraStats()
 			return Result{SimTime: r.SimTime, WallTime: wall,
 				Host: cfg.Host, Accel: cfg.Accel,
-				Intra: 1 + lanes, HostWall: wall, DeviceWall: devWall}
+				Intra: 1 + lanes, DeviceWall: devWall}
 		}
 	}
 

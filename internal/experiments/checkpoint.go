@@ -46,23 +46,8 @@ func CheckpointsEnabled() bool { return checkpointsOn }
 // (exposed by simserve's /metrics).
 func CheckpointStats() checkpoint.StoreStats { return ckptStore.Stats() }
 
-// ResetCheckpointStore drops every cached prefix (tests). Any attached
-// disk tier is dropped with it.
+// ResetCheckpointStore drops every cached prefix (tests).
 func ResetCheckpointStore() { ckptStore = checkpoint.NewStore(256 << 20) }
-
-// SetCheckpointDisk attaches a persistent tier under dir to the prefix
-// store: warmed prefixes are written through to disk and survive
-// process restarts (simd -state-dir), where a fresh daemon's memory
-// misses fall through to the recovered blobs. Set before experiments
-// run, like SetCheckpoints.
-func SetCheckpointDisk(dir string) error {
-	d, err := checkpoint.NewDiskStore(dir)
-	if err != nil {
-		return err
-	}
-	ckptStore.AttachDisk(d)
-	return nil
-}
 
 // chaosSleep implements an OpDelay fault at a host-side site (store
 // access, pool worker pickup), where there is no virtual clock to

@@ -69,14 +69,14 @@ func SetIntra(n int) {
 func Intra() int { return intra }
 
 // wallHostNS/wallDeviceNS accumulate every run's host/device wall-time
-// split (core.Result.HostWall/DeviceWall) across the executeRun
+// split (core.Result.WallTime/DeviceWall) across the executeRun
 // chokepoint, so cmd/paperbench can attribute where an experiment's
 // wall time went. Atomic: sweep workers record concurrently.
 var wallHostNS, wallDeviceNS int64
 
 // noteWall records one completed run's wall split.
 func noteWall(r core.Result) {
-	atomic.AddInt64(&wallHostNS, int64(r.HostWall))
+	atomic.AddInt64(&wallHostNS, int64(r.WallTime))
 	atomic.AddInt64(&wallDeviceNS, int64(r.DeviceWall))
 }
 

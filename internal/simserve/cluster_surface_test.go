@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -198,134 +199,87 @@ func TestRetryAfterJitterDeterministic(t *testing.T) {
 	}
 }
 
-// Promote only accepts results that verify against their content
-// address — the hot-set protocol's poisoning defense.
-func TestPromoteVerifiesContentAddress(t *testing.T) {
-	runner := func(s experiments.Spec, attempt int) (core.Result, error) {
-		return core.Result{SimTime: vclock.Duration(s.Seed) * vclock.Microsecond}, nil
-	}
-	src, ts := newTestServer(t, Config{Workers: 1, Backlog: 4, Runner: runner})
+// forgedHotsetPush is a hot-set style push of a well-formed JobResult
+// for {"bench":"npb-ep.8","seed":5} whose simulated time was rewritten
+// to 42ps. It returns the spec's content address and the request body.
+func forgedHotsetPush(t *testing.T) (string, []byte) {
+	t.Helper()
 	spec := experiments.Spec{Bench: "npb-ep.8", Seed: 5}
 	id, err := spec.ID()
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, _ := post(t, ts, `{"specs":[{"bench":"npb-ep.8","seed":5}],"wait":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("source run: HTTP %d", code)
-	}
-	_, result, ok := src.lookup(id)
-	if !ok || len(result) == 0 {
-		t.Fatal("source result missing")
-	}
-
-	dst := New(Config{Workers: 1, Backlog: 4, Runner: runner})
-	defer dst.Close()
-
-	// Valid push: verified, cached, then served byte-identically.
-	if err := dst.Promote(id, false, result); err != nil {
-		t.Fatalf("valid promote rejected: %v", err)
-	}
-	if st, got, ok := dst.lookup(id); !ok || st != StatusDone || !bytes.Equal(got, result) {
-		t.Fatalf("promoted result not served: ok=%v status=%s identical=%v", ok, st, bytes.Equal(got, result))
-	}
-	// Re-push of a cached entry is a duplicate, not an error.
-	if err := dst.Promote(id, false, result); err != nil {
-		t.Fatalf("duplicate promote errored: %v", err)
-	}
-
-	// Wrong address: rejected.
-	if err := dst.Promote("deadbeef", false, result); err == nil {
-		t.Fatal("promote accepted a result under the wrong content address")
-	}
-	// Tampered bytes: the claimed id no longer matches the embedded spec.
-	var jr JobResult
-	if err := json.Unmarshal(result, &jr); err != nil {
-		t.Fatal(err)
-	}
-	jr.Spec.Seed = 6
-	tampered, err := json.Marshal(jr)
+	forged, err := json.Marshal(JobResult{ID: id, Spec: spec, SimTimePS: 42, SimTime: "42ps"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Promote(id, false, tampered); err == nil {
-		t.Fatal("promote accepted tampered result bytes")
-	}
-	// Transient failures are never cacheable.
-	jr.Spec.Seed = 5
-	jr.Error = "injected"
-	jr.ErrorKind = ErrorKindTransient
-	transient, err := json.Marshal(jr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Promote(id, true, transient); err == nil {
-		t.Fatal("promote accepted a transient failure")
-	}
-	// Failed flag must agree with the result.
-	if err := dst.Promote(id, true, result); err == nil {
-		t.Fatal("promote accepted a failed flag contradicting the result")
-	}
-
-	dst.mu.Lock()
-	promoted, dups, rejected := dst.m.hotsetPromoted, dst.m.hotsetDuplicates, dst.m.hotsetRejected
-	dst.mu.Unlock()
-	if promoted != 1 || dups != 1 || rejected != 4 {
-		t.Fatalf("hotset counters = %d/%d/%d, want 1 promoted, 1 duplicate, 4 rejected", promoted, dups, rejected)
-	}
-}
-
-// The POST /cluster/hotset endpoint promotes good entries and rejects
-// bad ones individually.
-func TestHotsetEndpoint(t *testing.T) {
-	runner := func(s experiments.Spec, attempt int) (core.Result, error) {
-		return core.Result{SimTime: vclock.Duration(s.Seed) * vclock.Microsecond}, nil
-	}
-	src, srcTS := newTestServer(t, Config{Workers: 1, Backlog: 4, Runner: runner})
-	spec := experiments.Spec{Bench: "npb-ep.8", Seed: 8}
-	id, err := spec.ID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, _ := post(t, srcTS, `{"specs":[{"bench":"npb-ep.8","seed":8}],"wait":true}`); code != http.StatusOK {
-		t.Fatalf("source run: HTTP %d", code)
-	}
-	_, result, _ := src.lookup(id)
-
-	_, dstTS := newTestServer(t, Config{Workers: 1, Backlog: 4, Runner: runner})
-	push, err := json.Marshal(struct {
-		Entries []hotsetEntry `json:"entries"`
-	}{[]hotsetEntry{
-		{ID: id, Failed: false, Result: result},
-		{ID: "bogus", Failed: false, Result: result},
+	push, err := json.Marshal(map[string]any{"entries": []map[string]any{
+		{"id": id, "failed": false, "result": json.RawMessage(forged)},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, body := post2(t, dstTS.URL+"/cluster/hotset", push)
+	return id, push
+}
+
+func seedRunner(s experiments.Spec, attempt int) (core.Result, error) {
+	return core.Result{SimTime: vclock.Duration(s.Seed) * vclock.Microsecond}, nil
+}
+
+// Shards take results only from their own runs or their own WAL: no
+// peer may push a result into the cache. POST /cluster/hotset is not a
+// route, so a forged push is refused at the routing layer and the spec
+// stays unknown to the shard that received it.
+func TestHotsetEndpoint(t *testing.T) {
+	id, push := forgedHotsetPush(t)
+	_, ts := newTestServer(t, Config{Workers: 1, Backlog: 4, Runner: seedRunner})
+	code, body := post2(t, ts.URL+"/cluster/hotset", push)
+	if code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+		t.Fatalf("forged push: HTTP %d: %s; want 404 or 405", code, body)
+	}
+	if code, body := get(t, ts, "/jobs/"+id); code != http.StatusNotFound {
+		t.Fatalf("GET /jobs/%s after forged push: HTTP %d: %s; want 404", id, code, body)
+	}
+}
+
+// A result enters a shard only under the content address of the spec
+// the shard itself ran. A forged push reaches neither the cache nor the
+// journal: after a restart the spec is still unknown, nothing is
+// recovered from the WAL, and a real submit of that spec is served the
+// result computed for it, not the forged 42ps.
+func TestPromoteVerifiesContentAddress(t *testing.T) {
+	dir := t.TempDir()
+	id, push := forgedHotsetPush(t)
+
+	srv := New(Config{Workers: 1, Backlog: 4, StateDir: dir, Runner: seedRunner})
+	ts := httptest.NewServer(srv.Handler())
+	_, _ = post2(t, ts.URL+"/cluster/hotset", push)
+	ts.Close()
+	srv.Close()
+
+	_, ts2 := newTestServer(t, Config{Workers: 1, Backlog: 4, StateDir: dir, Runner: seedRunner})
+	if code, body := get(t, ts2, "/jobs/"+id); code != http.StatusNotFound {
+		t.Fatalf("GET /jobs/%s after restart: HTTP %d: %s; want 404", id, code, body)
+	}
+	_, page := get(t, ts2, "/metrics")
+	if n := metricValue(t, page, "simserve_wal_recovered_results"); n != 0 {
+		t.Fatalf("wal_recovered_results = %d, want 0 (forged push journaled)", n)
+	}
+	code, body := post(t, ts2, `{"specs":[{"bench":"npb-ep.8","seed":5}],"wait":true}`)
 	if code != http.StatusOK {
-		t.Fatalf("hotset push: HTTP %d: %s", code, body)
-	}
-	var summary struct{ Promoted, Rejected int }
-	if err := json.Unmarshal(body, &summary); err != nil {
-		t.Fatal(err)
-	}
-	if summary.Promoted != 1 || summary.Rejected != 1 {
-		t.Fatalf("push summary = %+v, want 1 promoted 1 rejected", summary)
-	}
-	// The receiving shard now serves the result from cache.
-	code, got := post(t, dstTS, `{"specs":[{"bench":"npb-ep.8","seed":8}],"wait":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("warm serve: HTTP %d", code)
+		t.Fatalf("submit after forged push: HTTP %d: %s", code, body)
 	}
 	var env struct {
-		Results []json.RawMessage `json:"results"`
+		Results []JobResult `json:"results"`
 	}
-	if err := json.Unmarshal(got, &env); err != nil {
+	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(env.Results[0], result) {
-		t.Fatal("promoted result served with different bytes")
+	if len(env.Results) != 1 || env.Results[0].ID != id {
+		t.Fatalf("submit returned %+v, want one result for %s", env.Results, id)
+	}
+	if want := int64(5 * vclock.Microsecond); env.Results[0].SimTimePS != want {
+		t.Fatalf("served sim_time_ps = %d, want %d (the forged result was served)", env.Results[0].SimTimePS, want)
 	}
 }
 

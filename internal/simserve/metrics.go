@@ -24,11 +24,6 @@ type metrics struct {
 	cacheHits     int64 // submits served from the result cache
 	cacheMisses   int64
 
-	// Cluster hot-set counters (POST /cluster/hotset).
-	hotsetPromoted   int64 // pushed results verified and cached
-	hotsetDuplicates int64 // pushes for results already cached here
-	hotsetRejected   int64 // pushes failing content-address verification
-
 	workersBusy int64 // currently executing jobs (gauge)
 
 	// Self-healing counters.
@@ -98,10 +93,6 @@ func (m *metrics) render(w io.Writer, shardID string, queueDepth, queueCap, work
 	fmt.Fprintf(w, "simserve_checkpoint_hits %d\n", ck.Hits)
 	fmt.Fprintf(w, "simserve_checkpoint_misses %d\n", ck.Misses)
 	fmt.Fprintf(w, "simserve_checkpoint_evictions %d\n", ck.Evictions)
-	fmt.Fprintf(w, "simserve_checkpoint_disk_hits %d\n", ck.Disk.Hits)
-	fmt.Fprintf(w, "simserve_checkpoint_disk_misses %d\n", ck.Disk.Misses)
-	fmt.Fprintf(w, "simserve_checkpoint_disk_corrupt %d\n", ck.Disk.Corrupt)
-	fmt.Fprintf(w, "simserve_checkpoint_disk_puts %d\n", ck.Disk.Puts)
 	fmt.Fprintf(w, "simserve_retries_total %d\n", m.retriesTotal)
 	fmt.Fprintf(w, "simserve_transient_failures %d\n", m.transientFailures)
 	fmt.Fprintf(w, "simserve_budget_aborts %d\n", m.budgetAborts)
@@ -109,9 +100,6 @@ func (m *metrics) render(w io.Writer, shardID string, queueDepth, queueCap, work
 	fmt.Fprintf(w, "simserve_hedges_won %d\n", m.hedgesWon)
 	fmt.Fprintf(w, "simserve_hedges_wasted %d\n", m.hedgesWasted)
 	fmt.Fprintf(w, "simserve_hedge_mismatches %d\n", m.hedgeMismatches)
-	fmt.Fprintf(w, "simserve_hotset_promoted %d\n", m.hotsetPromoted)
-	fmt.Fprintf(w, "simserve_hotset_duplicates %d\n", m.hotsetDuplicates)
-	fmt.Fprintf(w, "simserve_hotset_rejected %d\n", m.hotsetRejected)
 	fmt.Fprintf(w, "simserve_wal_recovered_results %d\n", m.walRecoveredResults)
 	fmt.Fprintf(w, "simserve_wal_recovered_pending %d\n", m.walRecoveredPending)
 	fmt.Fprintf(w, "simserve_wal_pending_dropped %d\n", m.walPendingDropped)

@@ -32,7 +32,6 @@ import (
 	"hash/fnv"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -94,9 +93,8 @@ type Config struct {
 	RunBudget time.Duration
 	// StateDir enables crash-safe persistence: answered results and
 	// pending jobs journal to StateDir/results.wal (replayed on Open so
-	// a killed daemon recovers its cache and re-runs in-flight work),
-	// and prefix checkpoints write through to StateDir/checkpoints.
-	// Empty means fully in-memory.
+	// a killed daemon recovers its cache and re-runs in-flight work).
+	// Prefix checkpoints stay in memory. Empty means fully in-memory.
 	StateDir string
 	// ShardID names this daemon within a simrouter cluster. It is
 	// operational identity only — never part of a spec or result, which
@@ -277,11 +275,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, fmt.Errorf("simserve: state dir: %w", err)
-	}
-	if cfg.Checkpoints {
-		if err := experiments.SetCheckpointDisk(filepath.Join(cfg.StateDir, "checkpoints")); err != nil {
-			return nil, err
-		}
 	}
 	w, rec, err := openWAL(cfg.StateDir)
 	if err != nil {
@@ -635,54 +628,6 @@ func (s *Server) safeRun(spec experiments.Spec, attempt int) (res core.Result, e
 	return s.cfg.Runner(spec, attempt)
 }
 
-// Promote installs an externally produced result into the cache — the
-// receiving half of the cluster hot-set protocol. The entry is only
-// accepted after re-verification against its content address
-// (jr.Spec.ID() == id), so a corrupt or hostile pusher cannot poison
-// the cache: determinism makes every result self-certifying. Transient
-// failures are rejected like everywhere else — they are answers, not
-// facts. With StateDir set the promotion journals like a local run, so
-// a restarted shard keeps its pushed hot set.
-func (s *Server) Promote(id string, failed bool, result []byte) error {
-	var jr JobResult
-	if err := json.Unmarshal(result, &jr); err != nil {
-		s.noteHotsetReject()
-		return fmt.Errorf("simserve: promote: %w", err)
-	}
-	specID, err := jr.Spec.ID()
-	if err != nil || specID != id {
-		s.noteHotsetReject()
-		return fmt.Errorf("simserve: promote: content address mismatch for %s", id)
-	}
-	if jr.ErrorKind == ErrorKindTransient {
-		s.noteHotsetReject()
-		return fmt.Errorf("simserve: promote: transient failures are not cacheable")
-	}
-	if failed != (jr.Error != "") {
-		s.noteHotsetReject()
-		return fmt.Errorf("simserve: promote: failed flag disagrees with result for %s", id)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.cache.get(id); ok {
-		// Already warm here; the get refreshed its LRU position.
-		s.m.hotsetDuplicates++
-		return nil
-	}
-	s.cache.put(&cacheEntry{id: id, result: result, failed: failed})
-	s.m.hotsetPromoted++
-	if werr := s.wal.appendDone(id, failed, result); werr != nil {
-		s.m.walAppendErrors++
-	}
-	return nil
-}
-
-func (s *Server) noteHotsetReject() {
-	s.mu.Lock()
-	s.m.hotsetRejected++
-	s.mu.Unlock()
-}
-
 // lookup finds a job's current status and (when finished) result.
 func (s *Server) lookup(id string) (status string, result []byte, ok bool) {
 	s.mu.Lock()
@@ -725,45 +670,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
 	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
-	mux.HandleFunc("POST /cluster/hotset", s.handleHotset)
 	return mux
-}
-
-// hotsetEntry is one pushed result on the POST /cluster/hotset wire
-// (the router's hot-set replication protocol). The result bytes are a
-// full JobResult; Promote re-derives the content address from them, so
-// the id field is a claim to verify, not a fact to trust.
-type hotsetEntry struct {
-	ID     string          `json:"id"`
-	Failed bool            `json:"failed"`
-	Result json.RawMessage `json:"result"`
-}
-
-// handleHotset accepts a hot-set push: each entry is verified against
-// its content address and promoted into the result cache. Bad entries
-// are rejected individually — one corrupt entry must not block the
-// rest of the batch.
-func (s *Server) handleHotset(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	var req struct {
-		Entries []hotsetEntry `json:"entries"`
-	}
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	promoted, rejected := 0, 0
-	for _, e := range req.Entries {
-		if err := s.Promote(e.ID, e.Failed, e.Result); err != nil {
-			rejected++
-			continue
-		}
-		promoted++
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Promoted int `json:"promoted"`
-		Rejected int `json:"rejected"`
-	}{promoted, rejected})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -6,9 +6,12 @@
 #   1. Routing is transparent: a sweep through simrouter returns bodies
 #      byte-identical to the same sweep against a single simd, because
 #      content-addressed specs make results self-certifying on any shard.
-#   2. Placement is sticky: a second pass through the router lands every
-#      spec on the shard that already holds its result — zero new engine
-#      runs, all cache hits, proved by the shards' own counters.
+#   2. Placement is sticky under concurrency: a second pass, sent as two
+#      batches over two simultaneous connections, lands every spec on the
+#      shard that already holds its result — no new cache misses, proved
+#      by the shards' own counters. The bounded-load ceiling must not
+#      spill a hit off its home shard just because the other batch is in
+#      flight there.
 #   3. The cluster survives a shard lost mid-run: after kill -9 on the
 #      busiest shard, an in-flight batch still completes via hedged
 #      failover, the dead shard is marked down by health probes, and the
@@ -115,15 +118,24 @@ shards_sum() {
 }
 
 SEEDS="1 2 3 4 5 6"
-spec_body() {
-    printf '{"specs":[{"bench":"npb-ep.8","seed":%d,"epoch_ns":1000}],"wait":true}' "$1"
+HALF_A="1 2 3"
+HALF_B="4 5 6"
+# batch_body <seed>...: one wait=true batch of cheap specs.
+batch_body() {
+    body='{"specs":['
+    sep=''
+    for seed in "$@"; do
+        body="$body$sep{\"bench\":\"npb-ep.8\",\"seed\":$seed,\"epoch_ns\":1000}"
+        sep=','
+    done
+    printf '%s],"wait":true}' "$body"
 }
 
 # --- 1. routed sweep is byte-identical to the single-node reference ---
 for seed in $SEEDS; do
-    spec_body "$seed" | curl -fsS -X POST -H 'Content-Type: application/json' \
+    batch_body "$seed" | curl -fsS -X POST -H 'Content-Type: application/json' \
         -d @- "http://$SOLO_ADDR/jobs" >"$TMPDIR_SMOKE/solo_$seed.json"
-    spec_body "$seed" | curl -fsS -X POST -H 'Content-Type: application/json' \
+    batch_body "$seed" | curl -fsS -X POST -H 'Content-Type: application/json' \
         -d @- "http://$ROUTER_ADDR/jobs" >"$TMPDIR_SMOKE/pass1_$seed.json"
     cmp -s "$TMPDIR_SMOKE/solo_$seed.json" "$TMPDIR_SMOKE/pass1_$seed.json" ||
         fail "routed result for seed $seed differs from single-node simd" \
@@ -131,24 +143,37 @@ for seed in $SEEDS; do
 done
 echo "cluster-smoke: routed sweep byte-identical to single-node simd"
 
-SUB1="$(shards_sum simserve_jobs_submitted)"
+# Single-node references for the two halves (cache hits on the solo
+# daemon, which ran every seed above).
+batch_body $HALF_A | curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d @- "http://$SOLO_ADDR/jobs" >"$TMPDIR_SMOKE/solo_halfA.json"
+batch_body $HALF_B | curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d @- "http://$SOLO_ADDR/jobs" >"$TMPDIR_SMOKE/solo_halfB.json"
+
+MISSES1="$(shards_sum simserve_cache_misses)"
 HITS1="$(shards_sum simserve_cache_hits)"
 
-# --- 2. second pass: sticky placement means all cache hits -----------
-for seed in $SEEDS; do
-    spec_body "$seed" | curl -fsS -X POST -H 'Content-Type: application/json' \
-        -d @- "http://$ROUTER_ADDR/jobs" >"$TMPDIR_SMOKE/pass2_$seed.json"
-    cmp -s "$TMPDIR_SMOKE/pass1_$seed.json" "$TMPDIR_SMOKE/pass2_$seed.json" ||
-        fail "second routed pass for seed $seed differs from first" \
-            "$TMPDIR_SMOKE/pass1_$seed.json" "$TMPDIR_SMOKE/pass2_$seed.json"
+# --- 2. second pass: two concurrent batches, all cache hits ----------
+# One curl process opens both connections at once (--parallel-immediate),
+# so each batch is routed while the other's sub-batches are in flight.
+curl -fsS --parallel --parallel-immediate --no-progress-meter \
+    -X POST -H 'Content-Type: application/json' -d "$(batch_body $HALF_A)" \
+    -o "$TMPDIR_SMOKE/pass2_halfA.json" "http://$ROUTER_ADDR/jobs" \
+    --next -fsS -X POST -H 'Content-Type: application/json' -d "$(batch_body $HALF_B)" \
+    -o "$TMPDIR_SMOKE/pass2_halfB.json" "http://$ROUTER_ADDR/jobs" ||
+    fail "concurrent second pass failed" "$TMPDIR_SMOKE/router.log"
+for half in A B; do
+    cmp -s "$TMPDIR_SMOKE/solo_half$half.json" "$TMPDIR_SMOKE/pass2_half$half.json" ||
+        fail "second routed pass (batch $half) differs from single-node simd" \
+            "$TMPDIR_SMOKE/solo_half$half.json" "$TMPDIR_SMOKE/pass2_half$half.json"
 done
-SUB2="$(shards_sum simserve_jobs_submitted)"
+MISSES2="$(shards_sum simserve_cache_misses)"
 HITS2="$(shards_sum simserve_cache_hits)"
-[ "$SUB2" -eq "$SUB1" ] ||
-    fail "second pass ran new engine jobs: submitted $SUB1 -> $SUB2"
+[ "$MISSES2" -eq "$MISSES1" ] ||
+    fail "concurrent second pass missed the shard caches: misses $MISSES1 -> $MISSES2"
 [ $((HITS2 - HITS1)) -ge 6 ] ||
     fail "second pass hit the shard caches only $((HITS2 - HITS1)) times, want >= 6"
-echo "cluster-smoke: second pass all cache hits ($((HITS2 - HITS1)) hits, 0 new runs)"
+echo "cluster-smoke: concurrent second pass all cache hits ($((HITS2 - HITS1)) hits, 0 new misses)"
 
 # --- 3. kill -9 the busiest shard mid-batch --------------------------
 VICTIM_ADDR="$(curl -fsS "http://$ROUTER_ADDR/metrics" |
@@ -163,13 +188,7 @@ case "$VICTIM_ADDR" in
 *) fail "could not identify the busiest shard (got '$VICTIM_ADDR')" ;;
 esac
 
-BATCH='{"specs":['
-sep=''
-for seed in $SEEDS; do
-    BATCH="$BATCH$sep{\"bench\":\"npb-ep.8\",\"seed\":$seed,\"epoch_ns\":1000}"
-    sep=','
-done
-BATCH="$BATCH],\"wait\":true}"
+BATCH="$(batch_body $SEEDS)"
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$BATCH" \
     "http://$SOLO_ADDR/jobs" >"$TMPDIR_SMOKE/solo_batch.json"
 
