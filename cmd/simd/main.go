@@ -61,9 +61,6 @@ func main() {
 				"transient error instead of wedging its worker (0 = none)")
 		retries = flag.Int("retries", 0,
 			"max retries of a transiently-failed run (0 = default of 2, negative = off)")
-		hedgeAfter = flag.Duration("hedge-after", 0,
-			"launch a second identical attempt for jobs still running after this long;\n"+
-				"the first published result wins (0 = off)")
 		shardID = flag.String("shard-id", "",
 			"name of this daemon within a simrouter cluster; operational identity\n"+
 				"only (surfaces on /metrics), never part of a spec or result")
@@ -85,7 +82,6 @@ func main() {
 		StateDir:     *stateDir,
 		RunBudget:    *runBudget,
 		MaxRetries:   *retries,
-		HedgeAfter:   *hedgeAfter,
 		ShardID:      *shardID,
 	})
 	if err != nil {

@@ -1,16 +1,16 @@
 // Command simrouter fronts a fleet of simd shards with a stateless
 // cluster router (see internal/cluster and the README's "Running a
 // cluster" section): consistent-hash placement of content-addressed
-// specs with bounded loads, health-probe-driven membership, hedged
-// retries that double as cross-node determinism probes, and per-tenant
-// admission control. Cache hits stay sticky on each spec's home shard:
+// specs with bounded loads, health-probe-driven membership, and hedged
+// retries that double as cross-node determinism probes (the only
+// hedging path; simd does not hedge its own runs). Cache hits stay sticky on each spec's home shard:
 // the bounded-load ceiling only spills a key off a shard that is
 // carrying more than its share of in-flight work.
 //
 // Usage:
 //
 //	simrouter -addr 127.0.0.1:9000 -shards 127.0.0.1:8081,127.0.0.1:8082,127.0.0.1:8083
-//	simrouter -shards ... -hedge-after 500ms -tenant-rate 50 -tenant-weights team-a=4,team-b=1
+//	simrouter -shards ... -hedge-after 500ms
 //
 // Endpoints mirror simd exactly — POST /jobs, GET /jobs/{id},
 // /healthz, /metrics — so clients are oblivious to whether they talk
@@ -29,7 +29,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -58,12 +57,6 @@ func main() {
 			"consecutive probe failures before a shard is marked down")
 		readmitOKs = flag.Int("readmit-oks", 2,
 			"consecutive probe successes before a down shard is re-admitted")
-		tenantRate = flag.Float64("tenant-rate", 0,
-			"admission tokens (specs) per second per unit tenant weight (0 = no gate)")
-		tenantBurst = flag.Float64("tenant-burst", 0,
-			"bucket depth in seconds of refill (0 = default of 4)")
-		tenantWeights = flag.String("tenant-weights", "",
-			"comma-separated tenant=weight fair shares (unlisted tenants weigh 1)")
 		portFile = flag.String("portfile", "",
 			"write the bound host:port to this file once listening (for scripts)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute,
@@ -76,11 +69,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simrouter: -shards is required (comma-separated host:port list)")
 		os.Exit(2)
 	}
-	weights, err := parseWeights(*tenantWeights)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simrouter:", err)
-		os.Exit(2)
-	}
 
 	router, err := cluster.NewRouter(cluster.RouterConfig{
 		Shards:         shards,
@@ -91,11 +79,6 @@ func main() {
 		ProbeInterval:  *probeInterval,
 		FailThreshold:  *failThreshold,
 		ReadmitOKs:     *readmitOKs,
-		Admission: cluster.AdmissionConfig{
-			RatePerSec: *tenantRate,
-			BurstSec:   *tenantBurst,
-			Weights:    weights,
-		},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simrouter:", err)
@@ -156,24 +139,4 @@ func splitNonEmpty(s string) []string {
 		}
 	}
 	return out
-}
-
-// parseWeights parses "tenant=weight,..." into the admission map.
-func parseWeights(s string) (map[string]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	weights := map[string]float64{}
-	for _, part := range splitNonEmpty(s) {
-		name, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -tenant-weights entry %q (want tenant=weight)", part)
-		}
-		wt, err := strconv.ParseFloat(val, 64)
-		if err != nil || wt <= 0 {
-			return nil, fmt.Errorf("bad weight %q for tenant %q (want a positive number)", val, name)
-		}
-		weights[name] = wt
-	}
-	return weights, nil
 }

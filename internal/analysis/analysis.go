@@ -121,7 +121,7 @@ var defaultAllow = map[string][]string{
 		"internal/experiments/speed.go", // §6.3 speed tables measure wall clock
 		"internal/simserve/",            // serving metrics/timeouts are wall-clock by nature
 		"cmd/simd/",                     // daemon shutdown deadlines
-		"internal/cluster/",             // probe intervals, hedge timers, admission refill
+		"internal/cluster/",             // probe intervals, hedge timers
 		"cmd/simrouter/",                // router shutdown deadlines
 	},
 	"nondet-rand": {

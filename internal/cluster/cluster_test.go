@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,25 +19,14 @@ import (
 )
 
 // postJobs submits specs to addr's job API and returns the HTTP status
-// and decoded body.
-func postJobs(t *testing.T, addr, tenant string, specs []experiments.Spec, wait bool) (int, http.Header, []byte) {
+// and body.
+func postJobs(t *testing.T, addr string, specs []experiments.Spec, wait bool) (int, []byte) {
 	t.Helper()
-	body, err := json.Marshal(struct {
-		Specs []experiments.Spec `json:"specs"`
-		Wait  bool               `json:"wait"`
-	}{specs, wait})
+	body, err := json.Marshal(simserve.SubmitRequest{Specs: specs, Wait: wait})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/jobs", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		req.Header.Set(TenantHeader, tenant)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Post("http://"+addr+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +35,13 @@ func postJobs(t *testing.T, addr, tenant string, specs []experiments.Spec, wait 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, resp.Header, data
+	return resp.StatusCode, data
 }
 
-// results decodes a 200 envelope into per-spec result bytes.
+// decodeResults decodes a 200 envelope into per-spec result bytes.
 func decodeResults(t *testing.T, data []byte) []json.RawMessage {
 	t.Helper()
-	var env struct {
-		Results []json.RawMessage `json:"results"`
-	}
+	var env simserve.ResultsResponse
 	if err := json.Unmarshal(data, &env); err != nil {
 		t.Fatalf("decoding results: %v (%s)", err, data)
 	}
@@ -112,7 +100,7 @@ func TestRoutedSweepMatchesDirectAndHitsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { direct.Stop(); direct.Server.Close() }()
-	code, _, body := postJobs(t, direct.Addr, "", specs, true)
+	code, body := postJobs(t, direct.Addr, specs, true)
 	if code != http.StatusOK {
 		t.Fatalf("direct sweep: HTTP %d: %s", code, body)
 	}
@@ -124,7 +112,7 @@ func TestRoutedSweepMatchesDirectAndHitsCache(t *testing.T) {
 	}
 	defer lc.Close()
 
-	code, _, body = postJobs(t, lc.RouterAddr, "", specs, true)
+	code, body = postJobs(t, lc.RouterAddr, specs, true)
 	if code != http.StatusOK {
 		t.Fatalf("routed sweep: HTTP %d: %s", code, body)
 	}
@@ -138,7 +126,7 @@ func TestRoutedSweepMatchesDirectAndHitsCache(t *testing.T) {
 	// Second pass: all cache hits, no new engine work anywhere.
 	submittedBefore := scrapeCounter(t, "simserve_jobs_submitted", shardAddrs(lc)...)
 	hitsBefore := scrapeCounter(t, "simserve_cache_hits", shardAddrs(lc)...)
-	code, _, body = postJobs(t, lc.RouterAddr, "", specs, true)
+	code, body = postJobs(t, lc.RouterAddr, specs, true)
 	if code != http.StatusOK {
 		t.Fatalf("routed repeat: HTTP %d: %s", code, body)
 	}
@@ -198,7 +186,7 @@ func TestClusterChurnHedgeCompletesAndReadmits(t *testing.T) {
 	}
 	done := make(chan reply, 1)
 	go func() {
-		code, _, body := postJobs(t, lc.RouterAddr, "", []experiments.Spec{spec}, true)
+		code, body := postJobs(t, lc.RouterAddr, []experiments.Spec{spec}, true)
 		done <- reply{code, body}
 	}()
 
@@ -266,33 +254,81 @@ func TestClusterChurnHedgeCompletesAndReadmits(t *testing.T) {
 	}
 }
 
-// Per-tenant admission: one tenant exhausting its bucket is refused
-// with a Retry-After while another tenant's bucket is untouched.
-func TestTenantAdmissionIsolatesTenants(t *testing.T) {
-	lc, err := NewLocal(1, simserve.Config{}, RouterConfig{
-		Admission: AdmissionConfig{RatePerSec: 1, BurstSec: 1}, // depth 1
+// The router's determinism probe catches a divergent replica: a runner
+// whose first call straggles and then answers differently from every
+// later call makes the hedge win with one answer and the primary lose
+// with another. The client gets the hedge's bytes, the byte compare
+// counts one mismatch, and the primary's shard — the one holding the
+// straggler's bytes — is quarantined while the hedge's stays up.
+func TestProbeMismatchQuarantinesShard(t *testing.T) {
+	var calls atomic.Int64
+	gate := make(chan struct{})
+	runner := func(s experiments.Spec, attempt int) (core.Result, error) {
+		if calls.Add(1) == 1 {
+			<-gate
+			return core.Result{SimTime: 111 * vclock.Microsecond}, nil
+		}
+		return core.Result{SimTime: 222 * vclock.Microsecond}, nil
+	}
+	lc, err := NewLocal(2, simserve.Config{Runner: runner}, RouterConfig{
+		HedgeAfter:    20 * time.Millisecond,
+		ProbeInterval: time.Hour, // no probes: nothing re-admits the shard
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lc.Close()
+	defer close(gate)
 
-	spec := []experiments.Spec{{Bench: "npb-ep.8", Seed: 11}}
-	code, _, body := postJobs(t, lc.RouterAddr, "team-a", spec, false)
-	if code != http.StatusAccepted {
-		t.Fatalf("first submit: HTTP %d: %s", code, body)
+	spec := experiments.Spec{Bench: "npb-ep.8", Seed: 3}
+	id, err := spec.ID()
+	if err != nil {
+		t.Fatal(err)
 	}
-	code, hdr, body := postJobs(t, lc.RouterAddr, "team-a", spec, false)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("over-quota submit: HTTP %d: %s", code, body)
+
+	code, body := postJobs(t, lc.RouterAddr, []experiments.Spec{spec}, true)
+	if code != http.StatusOK {
+		t.Fatalf("submit: HTTP %d: %s", code, body)
 	}
-	if retry, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || retry < 1 {
-		t.Fatalf("Retry-After = %q, want a positive integer", hdr.Get("Retry-After"))
+	var jr simserve.JobResult
+	if err := json.Unmarshal(decodeResults(t, body)[0], &jr); err != nil {
+		t.Fatal(err)
 	}
-	// A different tenant has its own bucket.
-	code, _, body = postJobs(t, lc.RouterAddr, "team-b", spec, false)
-	if code != http.StatusAccepted {
-		t.Fatalf("other tenant: HTTP %d: %s", code, body)
+	if jr.SimTimePS != int64(222*vclock.Microsecond) {
+		t.Fatalf("client got sim time %d, want the hedge's %d", jr.SimTimePS, int64(222*vclock.Microsecond))
+	}
+
+	gate <- struct{}{} // release the straggling primary with its divergent answer
+	deadline := time.Now().Add(5 * time.Second)
+	for scrapeCounter(t, "simrouter_probe_mismatches", lc.RouterAddr) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("probe mismatch never counted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := scrapeCounter(t, "simrouter_quarantines", lc.RouterAddr); n != 1 {
+		t.Fatalf("simrouter_quarantines = %d, want 1", n)
+	}
+	// Each shard cached the answer it computed; the straggler's is 111µs.
+	for _, sh := range lc.Shards {
+		resp, err := http.Get("http://" + sh.Addr + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var poll struct {
+			Result simserve.JobResult `json:"result"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&poll)
+		_ = resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := lc.Router.Membership().State(sh.Addr)
+		straggler := poll.Result.SimTimePS == int64(111*vclock.Microsecond)
+		if quarantined := state == StateDown+" (quarantined)"; quarantined != straggler {
+			t.Errorf("shard %s (sim time %d) state = %q, want quarantined = %t",
+				sh.Addr, poll.Result.SimTimePS, state, straggler)
+		}
 	}
 }
 
@@ -312,8 +348,8 @@ func TestRouterNoLiveShards(t *testing.T) {
 	// First submit discovers the dead shard (transport error -> mark
 	// down at threshold 1); it may fail with 502 or 503 depending on
 	// when the mark lands. The second must be a clean 503.
-	postJobs(t, lc.RouterAddr, "", spec, false)
-	code, _, body := postJobs(t, lc.RouterAddr, "", spec, false)
+	postJobs(t, lc.RouterAddr, spec, false)
+	code, body := postJobs(t, lc.RouterAddr, spec, false)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("dead cluster: HTTP %d: %s", code, body)
 	}
@@ -323,14 +359,14 @@ func TestRouterNoLiveShards(t *testing.T) {
 }
 
 // The router's metrics page renders the core counters (smoke, and a
-// regression guard for the sorted render helpers).
+// regression guard for the per-shard render).
 func TestRouterMetricsRender(t *testing.T) {
 	lc, err := NewLocal(2, simserve.Config{}, RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	postJobs(t, lc.RouterAddr, "", []experiments.Spec{{Bench: "npb-ep.8", Seed: 41}}, true)
+	postJobs(t, lc.RouterAddr, []experiments.Spec{{Bench: "npb-ep.8", Seed: 41}}, true)
 
 	resp, err := http.Get("http://" + lc.RouterAddr + "/metrics")
 	if err != nil {

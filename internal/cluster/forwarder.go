@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sort"
 	"strconv"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"nexsim/internal/experiments"
+	"nexsim/internal/simserve"
 )
 
 // RouterConfig parameterizes the cluster router.
@@ -41,10 +41,6 @@ type RouterConfig struct {
 	FailThreshold int
 	ReadmitOKs    int
 	Probe         func(shard string) bool // test override
-
-	// Admission is the per-tenant token-bucket gate (zero RatePerSec
-	// admits everything).
-	Admission AdmissionConfig
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
@@ -75,7 +71,6 @@ type Router struct {
 	cfg  RouterConfig
 	ring *Ring
 	mem  *Membership
-	adm  *Admission
 
 	clients map[string]*http.Client // per-shard connection pools
 
@@ -102,7 +97,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			ReadmitOKs:    cfg.ReadmitOKs,
 			Probe:         cfg.Probe,
 		}),
-		adm:      NewAdmission(cfg.Admission),
 		clients:  make(map[string]*http.Client, len(cfg.Shards)),
 		inflight: make(map[string]int, len(cfg.Shards)),
 		m:        newRouterMetrics(),
@@ -152,22 +146,9 @@ type itemResult struct {
 
 // --- HTTP surface ---
 
-// submitRequest mirrors the simserve POST /jobs body.
-type submitRequest struct {
-	Specs []experiments.Spec `json:"specs"`
-	Wait  bool               `json:"wait"`
-}
-
-// maxBatch mirrors the shard-side bound.
-const maxBatch = 4096
-
-// TenantHeader names the request header carrying the tenant identity
-// for admission control.
-const TenantHeader = "X-Tenant"
-
-// Handler returns the router's HTTP routes — the same job API the
-// shards serve, so clients are oblivious to whether they talk to one
-// simd or a cluster.
+// Handler returns the router's HTTP routes — the same job API, in
+// simserve's wire format, that the shards serve, so clients are
+// oblivious to whether they talk to one simd or a cluster.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
@@ -198,36 +179,10 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	r.m.requestsTotal++
 	r.mu.Unlock()
 
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var sr submitRequest
-	if err := dec.Decode(&sr); err != nil {
+	sr, err := simserve.DecodeSubmit(w, req)
+	if err != nil {
 		r.countBad()
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	if len(sr.Specs) == 0 {
-		r.countBad()
-		writeError(w, http.StatusBadRequest, "no specs submitted")
-		return
-	}
-	if len(sr.Specs) > maxBatch {
-		r.countBad()
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d specs exceeds the %d-spec limit", len(sr.Specs), maxBatch))
-		return
-	}
-
-	// Tenant gate first: an over-quota tenant must not cost normalization
-	// work either.
-	tenant := req.Header.Get(TenantHeader)
-	if ok, retry := r.adm.Allow(tenant, len(sr.Specs)); !ok {
-		r.mu.Lock()
-		r.m.admissionRejects++
-		r.mu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("tenant %q over admission quota; retry after %ds", tenantLabel(tenant), retry))
+		simserve.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -236,13 +191,13 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		n, err := spec.Normalized()
 		if err != nil {
 			r.countBad()
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
+			simserve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}
 		id, err := n.ID()
 		if err != nil {
 			r.countBad()
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
+			simserve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}
 		items[i] = specItem{idx: i, spec: n, id: id}
@@ -258,17 +213,17 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 			r.mu.Lock()
 			r.m.noShards++
 			r.mu.Unlock()
-			writeError(w, http.StatusServiceUnavailable, "no live shards")
+			simserve.WriteError(w, http.StatusServiceUnavailable, "no live shards")
 		case errors.Is(err, errShed):
 			r.mu.Lock()
 			r.m.shedded++
 			r.mu.Unlock()
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(items[0].id)))
-			writeError(w, http.StatusTooManyRequests, "cluster at capacity; resubmit")
+			w.Header().Set("Retry-After", strconv.Itoa(simserve.RetryAfterSecs(items[0].id)))
+			simserve.WriteError(w, http.StatusTooManyRequests, "cluster at capacity; resubmit")
 		case errors.Is(err, req.Context().Err()):
 			// Client went away; nothing to write.
 		default:
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("forwarding failed: %v", err))
+			simserve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("forwarding failed: %v", err))
 		}
 		return
 	}
@@ -278,24 +233,14 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		for i, res := range results {
 			raws[i] = res.result
 		}
-		writeJSON(w, http.StatusOK, struct {
-			Results []json.RawMessage `json:"results"`
-		}{raws})
+		simserve.WriteJSON(w, http.StatusOK, simserve.ResultsResponse{Results: raws})
 		return
 	}
-	statuses := make([]jobStatus, len(results))
+	statuses := make([]simserve.JobStatus, len(results))
 	for i, res := range results {
-		statuses[i] = jobStatus{ID: res.id, Status: res.status}
+		statuses[i] = simserve.JobStatus{ID: res.id, Status: res.status}
 	}
-	writeJSON(w, http.StatusAccepted, struct {
-		Jobs []jobStatus `json:"jobs"`
-	}{statuses})
-}
-
-// jobStatus mirrors the shard-side async response entry.
-type jobStatus struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
+	simserve.WriteJSON(w, http.StatusAccepted, simserve.JobsResponse{Jobs: statuses})
 }
 
 func allFinished(results []itemResult) bool {
@@ -335,32 +280,13 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 		}
 		return
 	}
-	writeError(w, http.StatusNotFound, "unknown job "+id)
+	simserve.WriteError(w, http.StatusNotFound, "unknown job "+id)
 }
 
 func (r *Router) countBad() {
 	r.mu.Lock()
 	r.m.badRequests++
 	r.mu.Unlock()
-}
-
-// tenantLabel names the bucket a request was charged to.
-func tenantLabel(tenant string) string {
-	if tenant == "" {
-		return DefaultTenant
-	}
-	return tenant
-}
-
-// retryAfterSecs derives a deterministic 1–3s Retry-After from a spec's
-// content address: synchronized clients that all hit a full cluster
-// with distinct specs spread their retries instead of re-stampeding in
-// unison, while the same spec always backs off identically (tests stay
-// byte-stable).
-func retryAfterSecs(id string) int {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(id)) // fnv Write cannot fail
-	return 1 + int(h.Sum64()%3)
 }
 
 // groupByShard buckets items onto their bounded-load placements,

@@ -7,16 +7,18 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"nexsim/internal/experiments"
+	"nexsim/internal/simserve"
 )
 
-// Hedged forwarding, reusing simserve's hedging shape (PR 7) one level
-// up the stack: a sub-batch that is slow or whose shard died is
-// re-routed to the next replica, the first answer wins, and when both
-// sides eventually answer, the duplicate is byte-compared. On a single
-// node that comparison catches nondeterministic engines; across nodes
-// it is a free replica-verification probe — byte-identical results from
-// any shard is the cluster's core invariant, so a mismatch quarantines
-// the losing shard until it re-earns admission through probation.
+// Hedged forwarding, the repo's only hedging path: a sub-batch that is
+// slow or whose shard died is re-routed to the next replica, the first
+// answer wins, and when both sides eventually answer, the duplicate is
+// byte-compared. That comparison is a free replica-verification probe —
+// byte-identical results from any shard is the cluster's core
+// invariant, so a mismatch quarantines the losing shard until it
+// re-earns admission through probation.
 
 // groupOutcome is one attempt's result for a whole sub-batch.
 type groupOutcome struct {
@@ -94,9 +96,33 @@ func (r *Router) routeItems(ctx context.Context, items []specItem, wait bool, ex
 //     next replicas and race; first success answers the client
 //   - both sides answer → byte-compare overlapping results (determinism
 //     probe); a mismatch counts and quarantines the losing shard
+//
+// The forwards run on a context a client disconnect cancels only until
+// a hedge race has a winner: the loser is then owed its byte compare,
+// which must not die with the client request the winner just answered.
 func (r *Router) sendGroupHedged(ctx context.Context, shard string, group []specItem, wait bool, exclude map[string]bool) groupOutcome {
+	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	unwatch := context.AfterFunc(ctx, cancel)
+	probing := false
+	defer func() {
+		if !probing {
+			unwatch()
+			cancel()
+		}
+	}()
+	// compare hands the race's loser to the determinism probe, which
+	// then owns the forward context.
+	compare := func(loser <-chan groupOutcome, winner []itemResult) {
+		probing = true
+		unwatch()
+		go func() {
+			defer cancel()
+			r.compareLate(loser, winner)
+		}()
+	}
+
 	primaryCh := make(chan groupOutcome, 1)
-	go func() { primaryCh <- r.sendGroup(ctx, shard, group, wait) }()
+	go func() { primaryCh <- r.sendGroup(fctx, shard, group, wait) }()
 
 	var timerC <-chan time.Time
 	if r.cfg.HedgeAfter > 0 && wait {
@@ -112,7 +138,7 @@ func (r *Router) sendGroupHedged(ctx context.Context, shard string, group []spec
 		case out := <-primaryCh:
 			if out.err == nil {
 				if hedgeLaunched {
-					go r.compareLate(hedgeCh, out.results)
+					compare(hedgeCh, out.results)
 				}
 				return out
 			}
@@ -125,7 +151,7 @@ func (r *Router) sendGroupHedged(ctx context.Context, shard string, group []spec
 				}
 				return hedgeOut
 			}
-			return r.failover(ctx, shard, group, wait, exclude, out)
+			return r.failover(fctx, shard, group, wait, exclude, out)
 
 		case <-timerC:
 			timerC = nil
@@ -135,7 +161,7 @@ func (r *Router) sendGroupHedged(ctx context.Context, shard string, group []spec
 			r.m.hedgesLaunched++
 			r.mu.Unlock()
 			go func() {
-				res, err := r.routeItems(ctx, group, wait, withExcluded(exclude, shard))
+				res, err := r.routeItems(fctx, group, wait, withExcluded(exclude, shard))
 				hedgeCh <- groupOutcome{results: res, err: err}
 			}()
 
@@ -144,7 +170,7 @@ func (r *Router) sendGroupHedged(ctx context.Context, shard string, group []spec
 			hedgeLaunched = false
 			if out.err == nil {
 				r.noteHedgeWin()
-				go r.compareLate(primaryCh, out.results)
+				compare(primaryCh, out.results)
 				return out
 			}
 			// Hedge lost its own race (its replicas failed); keep waiting
@@ -239,18 +265,11 @@ func (r *Router) noteHedgeWin() {
 // sendGroup performs one sub-batch POST to one shard and parses the
 // response into per-item outcomes.
 func (r *Router) sendGroup(ctx context.Context, shard string, group []specItem, wait bool) groupOutcome {
-	specs := make([]json.RawMessage, len(group))
+	specs := make([]experiments.Spec, len(group))
 	for i, it := range group {
-		data, err := json.Marshal(it.spec)
-		if err != nil {
-			return groupOutcome{err: err}
-		}
-		specs[i] = data
+		specs[i] = it.spec
 	}
-	body, err := json.Marshal(struct {
-		Specs []json.RawMessage `json:"specs"`
-		Wait  bool              `json:"wait"`
-	}{specs, wait})
+	body, err := json.Marshal(simserve.SubmitRequest{Specs: specs, Wait: wait})
 	if err != nil {
 		return groupOutcome{err: err}
 	}
@@ -285,9 +304,7 @@ func (r *Router) sendGroup(ctx context.Context, shard string, group []specItem, 
 
 	switch resp.StatusCode {
 	case http.StatusOK:
-		var env struct {
-			Results []json.RawMessage `json:"results"`
-		}
+		var env simserve.ResultsResponse
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || len(env.Results) != len(group) {
 			r.noteForwardError(shard)
 			return groupOutcome{err: fmt.Errorf("shard %s: malformed results (%v)", shard, err)}
@@ -307,9 +324,7 @@ func (r *Router) sendGroup(ctx context.Context, shard string, group []specItem, 
 		return groupOutcome{results: results}
 
 	case http.StatusAccepted:
-		var env struct {
-			Jobs []jobStatus `json:"jobs"`
-		}
+		var env simserve.JobsResponse
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || len(env.Jobs) != len(group) {
 			r.noteForwardError(shard)
 			return groupOutcome{err: fmt.Errorf("shard %s: malformed job statuses (%v)", shard, err)}
@@ -336,36 +351,4 @@ func (r *Router) noteForwardError(shard string) {
 	r.mu.Lock()
 	r.m.forwardErrors[shard]++
 	r.mu.Unlock()
-}
-
-// writeJSON / writeError mirror the shard-side response encoding so a
-// routed error body is indistinguishable from a direct one.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	data = append(data, '\n')
-	if _, err := w.Write(data); err != nil {
-		return
-	}
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	data, err := json.Marshal(struct {
-		Error string `json:"error"`
-	}{msg})
-	if err != nil {
-		http.Error(w, msg, code)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	data = append(data, '\n')
-	if _, err := w.Write(data); err != nil {
-		return
-	}
 }

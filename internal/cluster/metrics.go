@@ -3,13 +3,12 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // routerMetrics is the router's operational counter set, rendered as
 // plain text on /metrics in the same `name value` / `name{label} value`
 // format the shards use. All fields are guarded by the router lock;
-// per-shard and per-tenant maps render in sorted key order.
+// per-shard maps render in sorted shard order.
 type routerMetrics struct {
 	requestsTotal int64 // POST /jobs requests handled
 	specsTotal    int64 // specs routed (batch members counted singly)
@@ -26,8 +25,6 @@ type routerMetrics struct {
 	hedgesWasted    int64 // duplicate answers that lost the race
 	probeCompares   int64 // duplicate answers byte-compared
 	probeMismatches int64 // determinism violations across shards
-
-	admissionRejects int64 // requests refused by the tenant gate
 }
 
 func newRouterMetrics() *routerMetrics {
@@ -38,10 +35,9 @@ func newRouterMetrics() *routerMetrics {
 }
 
 // renderMetrics writes the router /metrics page: counters, membership
-// states, in-flight gauges, and per-tenant admission totals.
+// states and in-flight gauges.
 func (r *Router) renderMetrics(w io.Writer) {
 	marksDown, readmits, quarantines := r.mem.counters()
-	admitted, rejected := r.adm.counters()
 
 	r.mu.Lock()
 	m := r.m
@@ -56,7 +52,6 @@ func (r *Router) renderMetrics(w io.Writer) {
 	fmt.Fprintf(w, "simrouter_hedges_wasted %d\n", m.hedgesWasted)
 	fmt.Fprintf(w, "simrouter_probe_compares %d\n", m.probeCompares)
 	fmt.Fprintf(w, "simrouter_probe_mismatches %d\n", m.probeMismatches)
-	fmt.Fprintf(w, "simrouter_admission_rejects %d\n", m.admissionRejects)
 	forwards := make(map[string]int64, len(m.forwards))
 	for k, v := range m.forwards {
 		forwards[k] = v
@@ -86,29 +81,4 @@ func (r *Router) renderMetrics(w io.Writer) {
 		fmt.Fprintf(w, "simrouter_shard_forward_errors{shard=%q} %d\n", shard, forwardErrors[shard])
 		fmt.Fprintf(w, "simrouter_shard_inflight{shard=%q} %d\n", shard, inflight[shard])
 	}
-
-	for _, tenant := range sortedTenants(admitted, rejected) {
-		fmt.Fprintf(w, "simrouter_tenant_admitted{tenant=%q} %d\n", tenant, admitted[tenant])
-		fmt.Fprintf(w, "simrouter_tenant_rejected{tenant=%q} %d\n", tenant, rejected[tenant])
-	}
-}
-
-// sortedTenants merges the key sets of both counter maps, sorted.
-func sortedTenants(a, b map[string]int64) []string {
-	seen := map[string]bool{}
-	var tenants []string
-	for t := range a {
-		if !seen[t] {
-			seen[t] = true
-			tenants = append(tenants, t)
-		}
-	}
-	for t := range b {
-		if !seen[t] {
-			seen[t] = true
-			tenants = append(tenants, t)
-		}
-	}
-	sort.Strings(tenants)
-	return tenants
 }

@@ -14,8 +14,8 @@
 //
 // The package splits along the router's concerns: ring.go (placement),
 // membership.go (liveness), forwarder.go (request routing),
-// hedger.go (retry/hedge races), admission.go (per-tenant fair
-// admission), metrics.go (/metrics).
+// hedger.go (retry/hedge races, the repo's one hedging path),
+// metrics.go (/metrics). The job API's wire format is simserve's.
 package cluster
 
 import (

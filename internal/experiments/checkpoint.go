@@ -138,7 +138,11 @@ func warmPrefix(b workloads.Bench, cfg core.Config) ([]byte, error) {
 		if _, completed := psys.RunPrefix(b.Build(&psys.Ctx)); completed {
 			return nil, nil
 		}
-		return psys.Checkpoint()
+		// The prefix run halted with its threads parked mid-program: take
+		// the blob, then reap them so they do not pin the run's memory.
+		blob, err := psys.Checkpoint()
+		psys.Reap()
+		return blob, err
 	})
 	return blob, err
 }

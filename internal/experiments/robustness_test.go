@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -271,6 +272,46 @@ func TestBudgetAbortNoGoroutineLeak(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines leaked by budget aborts: %d before, %d after",
+				before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPrefixSnapshotNoGoroutineLeak: a prefix run is halted at its first
+// device interaction, with its coroutine threads parked mid-program.
+// Snapshotting it must reap those threads; otherwise every computed
+// prefix pins its goroutines (and their memory) for the process's life.
+func TestPrefixSnapshotNoGoroutineLeak(t *testing.T) {
+	oldCk := CheckpointsEnabled()
+	SetCheckpoints(true)
+	ResetCheckpointStore()
+	defer func() {
+		SetCheckpoints(oldCk)
+		ResetCheckpointStore()
+	}()
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	for _, id := range []string{"vtasweep", "protosweep"} {
+		exp, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := exp.Run(io.Discard); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	if CheckpointStats().Misses == 0 {
+		t.Fatal("no prefix was computed; the test exercises nothing")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if n := runtime.NumGoroutine(); n <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked by prefix snapshots: %d before, %d after",
 				before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)

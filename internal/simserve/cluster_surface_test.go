@@ -168,10 +168,13 @@ func TestRetryAfterJitterDeterministic(t *testing.T) {
 		}
 	}
 
-	refused := experiments.Spec{Bench: "npb-ep.8", Seed: 99}
-	want := retryAfterSecs(refused)
+	refused, err := experiments.Spec{Bench: "npb-ep.8", Seed: 99}.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RetryAfterSecs(refused)
 	if want < 1 || want > 3 {
-		t.Fatalf("retryAfterSecs = %d, want within [1,3]", want)
+		t.Fatalf("RetryAfterSecs = %d, want within [1,3]", want)
 	}
 	for i := 0; i < 3; i++ {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json",
@@ -192,7 +195,11 @@ func TestRetryAfterJitterDeterministic(t *testing.T) {
 	// handful of addresses (fnv over the content address).
 	seen := map[int]bool{}
 	for seed := uint64(1); seed <= 16; seed++ {
-		seen[retryAfterSecs(experiments.Spec{Bench: "npb-ep.8", Seed: seed})] = true
+		id, err := experiments.Spec{Bench: "npb-ep.8", Seed: seed}.ID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[RetryAfterSecs(id)] = true
 	}
 	if len(seen) < 2 {
 		t.Fatalf("retry jitter is constant across specs: %v", seen)

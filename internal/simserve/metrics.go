@@ -30,10 +30,6 @@ type metrics struct {
 	retriesTotal      int64 // transient failures re-attempted
 	transientFailures int64 // jobs answered with a transient failure (retries exhausted)
 	budgetAborts      int64 // attempts aborted by core.ErrBudgetExceeded
-	hedgesLaunched    int64 // speculative second attempts started
-	hedgesWon         int64 // hedges that published first
-	hedgesWasted      int64 // attempts finishing after another published
-	hedgeMismatches   int64 // hedge/primary byte mismatches (determinism violations)
 
 	// Crash-safety counters (StateDir servers).
 	walRecoveredResults int64 // done records replayed into the cache at Open
@@ -96,10 +92,6 @@ func (m *metrics) render(w io.Writer, shardID string, queueDepth, queueCap, work
 	fmt.Fprintf(w, "simserve_retries_total %d\n", m.retriesTotal)
 	fmt.Fprintf(w, "simserve_transient_failures %d\n", m.transientFailures)
 	fmt.Fprintf(w, "simserve_budget_aborts %d\n", m.budgetAborts)
-	fmt.Fprintf(w, "simserve_hedges_launched %d\n", m.hedgesLaunched)
-	fmt.Fprintf(w, "simserve_hedges_won %d\n", m.hedgesWon)
-	fmt.Fprintf(w, "simserve_hedges_wasted %d\n", m.hedgesWasted)
-	fmt.Fprintf(w, "simserve_hedge_mismatches %d\n", m.hedgeMismatches)
 	fmt.Fprintf(w, "simserve_wal_recovered_results %d\n", m.walRecoveredResults)
 	fmt.Fprintf(w, "simserve_wal_recovered_pending %d\n", m.walRecoveredPending)
 	fmt.Fprintf(w, "simserve_wal_pending_dropped %d\n", m.walPendingDropped)

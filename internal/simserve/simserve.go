@@ -81,11 +81,6 @@ type Config struct {
 	// deterministically from the spec's content address — the same spec
 	// backs off the same way every time.
 	RetryBackoff time.Duration
-	// HedgeAfter, when > 0, launches a second identical attempt for any
-	// job still unpublished after this long. The first published result
-	// wins; the loser is byte-compared against it (a mismatch is a
-	// determinism violation, counted on /metrics). 0 disables hedging.
-	HedgeAfter time.Duration
 	// RunBudget is the per-attempt wall budget handed to the engine
 	// watchdogs (0 = none): an over-budget run aborts with
 	// core.ErrBudgetExceeded (transient — retried, never cached) instead
@@ -195,18 +190,14 @@ var (
 
 // job is one in-flight or just-completed run. done is closed after
 // result/failed/status are final; until then those fields are guarded
-// by the server lock. published flips exactly once — whichever of the
-// primary attempt chain or a hedge finishes first wins; the loser's
-// bytes are compared, not stored.
+// by the server lock.
 type job struct {
-	id        string
-	spec      experiments.Spec // normalized
-	done      chan struct{}
-	status    string
-	result    []byte
-	failed    bool
-	transient bool
-	published bool
+	id     string
+	spec   experiments.Spec // normalized
+	done   chan struct{}
+	status string
+	result []byte
+	failed bool
 	// keep pins the job to completion regardless of waiters: async
 	// submits (the client holds the id and will poll) and WAL-recovered
 	// work. waiters counts wait=true requests currently blocked on the
@@ -416,8 +407,9 @@ func (s *Server) keepJobs(jobs []*job) {
 
 // run executes one fresh job on a pool worker: attempt, retry
 // transients with deterministic backoff, and publish the final result.
-// When hedging is configured, a straggling primary gets a second
-// identical attempt racing it; the first published result wins.
+// Straggler hedging lives one level up, in the cluster router: a
+// same-node second attempt would meet the same (seed, attempt) fault
+// plan as the first.
 //
 // A job every waiter abandoned while it sat in the queue is skipped
 // here instead of executed: the queue slot was already freed by the
@@ -439,11 +431,6 @@ func (s *Server) run(j *job) {
 	s.m.workersBusy++
 	s.mu.Unlock()
 
-	if s.cfg.HedgeAfter > 0 {
-		timer := time.AfterFunc(s.cfg.HedgeAfter, func() { s.launchHedge(j) })
-		defer timer.Stop()
-	}
-
 	start := time.Now()
 	res, err, attempt := s.runWithRetries(j)
 	wallMS := float64(time.Since(start)) / float64(time.Millisecond)
@@ -452,10 +439,10 @@ func (s *Server) run(j *job) {
 	s.m.workersBusy--
 	s.mu.Unlock()
 	data, failed, transient := s.marshalResult(j, res, err, attempt)
-	s.publish(j, data, failed, transient, wallMS, false)
+	s.publish(j, data, failed, transient, wallMS)
 }
 
-// runWithRetries drives the primary attempt chain: transient failures
+// runWithRetries drives the attempt chain: transient failures
 // back off (doubling, capped, spec-jittered) and re-run with the next
 // attempt number — which matters, because Attempts-windowed injected
 // faults expire and budget luck differs, so a retry can genuinely heal.
@@ -473,12 +460,7 @@ func (s *Server) runWithRetries(j *job) (core.Result, error, int) {
 		if errors.Is(err, core.ErrBudgetExceeded) {
 			s.m.budgetAborts++
 		}
-		published := j.published
 		s.mu.Unlock()
-		if published {
-			// A hedge already answered; stop burning the worker.
-			return res, err, attempt
-		}
 		time.Sleep(retryBackoff(j.id, attempt, s.cfg.RetryBackoff))
 		attempt++
 	}
@@ -501,38 +483,6 @@ func retryBackoff(id string, attempt int, base time.Duration) time.Duration {
 	st := xrand.New(h.Sum64()).Derive(fmt.Sprintf("backoff-%d", attempt))
 	f := 0.75 + 0.5*st.Float64()
 	return time.Duration(float64(d) * f)
-}
-
-// launchHedge submits a second identical attempt for a straggling job.
-// The hedge re-runs attempt 0 — by determinism it must produce the
-// same bytes the primary's attempt 0 would, so whichever publishes
-// first is correct. Hedges only ever publish conclusive results: a
-// transient failure is the retry chain's business, so a hedge that
-// draws one quietly discards it.
-func (s *Server) launchHedge(j *job) {
-	s.mu.Lock()
-	if j.published || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.m.hedgesLaunched++
-	s.mu.Unlock()
-	err := s.pool.TrySubmit(func() {
-		start := time.Now()
-		res, rerr := s.safeRun(j.spec, 0)
-		wallMS := float64(time.Since(start)) / float64(time.Millisecond)
-		if rerr != nil && transientErr(rerr) {
-			return
-		}
-		data, failed, transient := s.marshalResult(j, res, rerr, 0)
-		s.publish(j, data, failed, transient, wallMS, true)
-	})
-	if err != nil {
-		// No capacity for speculation: the primary still owns the job.
-		s.mu.Lock()
-		s.m.hedgesLaunched--
-		s.mu.Unlock()
-	}
 }
 
 // marshalResult renders one attempt's outcome into canonical JobResult
@@ -566,26 +516,13 @@ func (s *Server) marshalResult(j *job, res core.Result, err error, attempt int) 
 	return out, jr.Error != "", transient
 }
 
-// publish installs a finished attempt's bytes as the job's result —
-// exactly once. The losing side of a hedge race lands here too: its
-// bytes are compared against the published ones, and a difference is a
-// determinism violation surfaced on /metrics rather than swallowed.
-// Transient failures are answered but never cached: the next submit of
-// the same spec runs fresh.
-func (s *Server) publish(j *job, data []byte, failed, transient bool, wallMS float64, hedge bool) {
+// publish installs a finished job's bytes as its result. Transient
+// failures are answered but never cached: the next submit of the same
+// spec runs fresh.
+func (s *Server) publish(j *job, data []byte, failed, transient bool, wallMS float64) {
 	s.mu.Lock()
-	if j.published {
-		if !bytes.Equal(data, j.result) {
-			s.m.hedgeMismatches++
-		}
-		s.m.hedgesWasted++
-		s.mu.Unlock()
-		return
-	}
-	j.published = true
 	j.result = data
 	j.failed = failed
-	j.transient = transient
 	if failed {
 		j.status = StatusFailed
 		s.m.jobsFailed++
@@ -604,9 +541,6 @@ func (s *Server) publish(j *job, data []byte, failed, transient bool, wallMS flo
 	}
 	delete(s.jobs, j.id)
 	s.m.observeRun(j.spec.Bench, wallMS)
-	if hedge {
-		s.m.hedgesWon++
-	}
 	s.mu.Unlock()
 	close(j.done)
 }
@@ -646,23 +580,6 @@ func (s *Server) lookup(id string) (status string, result []byte, ok bool) {
 
 // --- HTTP surface ---
 
-// submitRequest is the POST /jobs body.
-type submitRequest struct {
-	Specs []experiments.Spec `json:"specs"`
-	// Wait blocks until every spec has a result (bounded by the
-	// server's WaitTimeout) and returns results in spec order.
-	Wait bool `json:"wait"`
-}
-
-// jobStatus is one entry of an async (or timed-out) submit response.
-type jobStatus struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
-}
-
-// maxBatch bounds specs per request; bigger sweeps should batch.
-const maxBatch = 4096
-
 // Handler returns the daemon's HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -701,20 +618,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req submitRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	if len(req.Specs) == 0 {
-		writeError(w, http.StatusBadRequest, "no specs submitted")
-		return
-	}
-	if len(req.Specs) > maxBatch {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d specs exceeds the %d-spec limit", len(req.Specs), maxBatch))
+	req, err := DecodeSubmit(w, r)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -734,22 +640,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// ("accepted %d"), so they run to completion even though this
 			// response is an error.
 			s.keepJobs(jobs)
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(spec)))
-			writeError(w, http.StatusTooManyRequests,
+			id, _ := spec.ID() // submit already addressed it
+			w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSecs(id)))
+			WriteError(w, http.StatusTooManyRequests,
 				fmt.Sprintf("spec %d: job queue full (accepted %d of %d specs; resubmit the rest)",
 					i, len(jobs), len(req.Specs)))
 			return
 		case errors.Is(err, ErrShuttingDown):
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
+			WriteError(w, http.StatusServiceUnavailable, "server is draining")
 			return
 		default:
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}
 	}
 
 	if !req.Wait {
-		writeJSON(w, http.StatusAccepted, s.statusEnvelope(jobs))
+		WriteJSON(w, http.StatusAccepted, s.statusEnvelope(jobs))
 		return
 	}
 
@@ -768,41 +675,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// Timed out: hand the client the job IDs to poll. They now
 			// must complete even if this client never returns.
 			s.keepJobs(jobs)
-			writeJSON(w, http.StatusAccepted, s.statusEnvelope(jobs))
+			WriteJSON(w, http.StatusAccepted, s.statusEnvelope(jobs))
 			return
 		}
 		s.mu.Lock()
 		results[i] = j.result
 		s.mu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Results []json.RawMessage `json:"results"`
-	}{results})
-}
-
-// retryAfterSecs derives a deterministic 1–3s Retry-After from the
-// refused spec's content address: a fleet of synchronized clients
-// sweeping distinct specs spreads its retries instead of re-stampeding
-// a recovering queue in unison, while any given spec (and so any given
-// test) always sees the same value.
-func retryAfterSecs(spec experiments.Spec) int {
-	id, err := spec.ID()
-	if err != nil {
-		return 1
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(id)) // fnv Write cannot fail
-	return 1 + int(h.Sum64()%3)
+	WriteJSON(w, http.StatusOK, ResultsResponse{results})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	status, result, ok := s.lookup(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job "+id)
+		WriteError(w, http.StatusNotFound, "unknown job "+id)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		ID     string          `json:"id"`
 		Status string          `json:"status"`
 		Result json.RawMessage `json:"result,omitempty"`
@@ -810,16 +700,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusEnvelope snapshots per-job statuses for async responses.
-func (s *Server) statusEnvelope(jobs []*job) any {
-	statuses := make([]jobStatus, len(jobs))
+func (s *Server) statusEnvelope(jobs []*job) JobsResponse {
+	statuses := make([]JobStatus, len(jobs))
 	s.mu.Lock()
 	for i, j := range jobs {
-		statuses[i] = jobStatus{ID: j.id, Status: j.status}
+		statuses[i] = JobStatus{ID: j.id, Status: j.status}
 	}
 	s.mu.Unlock()
-	return struct {
-		Jobs []jobStatus `json:"jobs"`
-	}{statuses}
+	return JobsResponse{statuses}
 }
 
 // waitDone waits for j to finish, up to d, observing the request
@@ -837,35 +725,5 @@ func waitDone(ctx context.Context, j *job, d time.Duration) (done, gone bool) {
 		return false, false
 	case <-ctx.Done():
 		return false, true
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	data = append(data, '\n')
-	if _, err := w.Write(data); err != nil {
-		return
-	}
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	data, err := json.Marshal(struct {
-		Error string `json:"error"`
-	}{msg})
-	if err != nil {
-		http.Error(w, msg, code)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	data = append(data, '\n')
-	if _, err := w.Write(data); err != nil {
-		return
 	}
 }

@@ -92,7 +92,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("async submit: status %d, body %s", code, resp)
 	}
 	var env struct {
-		Jobs []jobStatus `json:"jobs"`
+		Jobs []JobStatus `json:"jobs"`
 	}
 	if err := json.Unmarshal(resp, &env); err != nil {
 		t.Fatal(err)
