@@ -45,6 +45,19 @@ type Device interface {
 	Stats() DeviceStats
 }
 
+// Unwrap peels wrapping adapters (anything with an Unwrap() Device
+// method, such as the co-simulation channel's device adapter) off d and
+// returns the innermost device.
+func Unwrap(d Device) Device {
+	for {
+		u, ok := d.(interface{ Unwrap() Device })
+		if !ok {
+			return d
+		}
+		d = u.Unwrap()
+	}
+}
+
 // DeviceStats is the common statistics block devices expose.
 type DeviceStats struct {
 	TasksStarted   int64

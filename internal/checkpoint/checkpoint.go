@@ -3,14 +3,16 @@
 //
 // A checkpoint captures the state a deterministic engine needs to
 // continue a run from a mid-execution halt point: the NEX scheduler
-// state and resume journal (internal/nex), and per-device dynamic state
-// (LPN markings, DSim DMA queues). Because every engine in this
-// repository is deterministic, two runs that execute the same prefix
-// produce byte-identical snapshot blobs — so the SHA-256 of a blob (or
-// of the prefix's normalized spec) is a true content address, and a
-// sweep whose points share a prefix can run it once, snapshot, and fork
-// (the SimBricks checkpointing workflow, and LiveStack's snapshot/fork,
-// on this repository's engines).
+// state and resume journal (internal/nex). Devices contribute nothing —
+// the halt point precedes the first device interaction, so a fresh
+// device re-clocked to the halt time is the device the prefix left.
+// Because every engine in this repository is deterministic, two runs
+// that execute the same prefix produce byte-identical snapshot blobs,
+// and a sweep whose points share a prefix can run it once, snapshot,
+// and fork (the SimBricks checkpointing workflow, and LiveStack's
+// snapshot/fork, on this repository's engines). The sweep planner keys
+// the store by a prefix key string (the bench plus every host-side
+// parameter), so a blob is looked up without being hashed.
 //
 // The encoding is a fixed little-endian binary layout written through
 // Encoder and read back through Decoder. It deliberately avoids
@@ -20,9 +22,7 @@
 package checkpoint
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -190,11 +190,3 @@ func (d *Decoder) Bytes8() []byte {
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() string { return string(d.Bytes8()) }
-
-// Hash returns the blob's content address: the hex SHA-256 of its
-// bytes. Identical prefixes hash identically because the encoding is a
-// pure function of the engine state.
-func Hash(blob []byte) string {
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
-}

@@ -358,6 +358,34 @@ func TestRouterNoLiveShards(t *testing.T) {
 	}
 }
 
+// An over-limit spec is refused at the router with a 400 and never
+// forwarded: no shard counts a submission or a cache lookup for it, so
+// no shard journal can ever hold it.
+func TestRouterRejectsOversizedSpec(t *testing.T) {
+	lc, err := NewLocal(2, simserve.Config{}, RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+
+	code, data := postJobs(t, lc.RouterAddr, []experiments.Spec{{Bench: "vta-matmul", Devices: 2000}}, true)
+	if code != http.StatusBadRequest {
+		t.Fatalf("oversized spec: HTTP %d: %s", code, data)
+	}
+	var e struct{ Error string }
+	if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, "devices 2000") {
+		t.Fatalf("oversized spec error body = %s (%v), want a JSON error naming devices", data, err)
+	}
+	if n := scrapeCounter(t, "simrouter_bad_requests", lc.RouterAddr); n != 1 {
+		t.Errorf("simrouter_bad_requests = %d, want 1", n)
+	}
+	for _, name := range []string{"simserve_jobs_submitted", "simserve_cache_hits", "simserve_cache_misses"} {
+		if n := scrapeCounter(t, name, shardAddrs(lc)...); n != 0 {
+			t.Errorf("%s = %d across shards, want 0 (spec was forwarded)", name, n)
+		}
+	}
+}
+
 // The router's metrics page renders the core counters (smoke, and a
 // regression guard for the per-shard render).
 func TestRouterMetricsRender(t *testing.T) {

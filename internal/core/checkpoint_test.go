@@ -1,9 +1,9 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 
-	"nexsim/internal/checkpoint"
 	"nexsim/internal/core"
 	"nexsim/internal/interconnect"
 	"nexsim/internal/workloads"
@@ -36,6 +36,7 @@ func checkpointOf(t *testing.T, bench string, shape func(*core.Config)) []byte {
 		shape(&cfg)
 	}
 	sys := core.Build(cfg)
+	defer sys.Reap() // free the thread goroutines parked at the halt
 	prog := b.Build(&sys.Ctx)
 	if _, completed := sys.RunPrefix(prog); completed {
 		t.Fatalf("%s: prefix ran to completion", bench)
@@ -122,17 +123,51 @@ func TestCheckpointSharedAcrossLateBinding(t *testing.T) {
 	}
 }
 
-// TestCheckpointContentAddressed: the blob is a sharing key — identical
-// prefixes hash identically.
+// TestCheckpointForkWholeCatalog is the fork differential over every
+// accelerated catalog bench. One prefix blob per bench, taken on the
+// normalized DSim configuration as the sweep planner takes it, forks
+// into a DSim target and an RTL target behind the co-simulation
+// channel, both with device stepper lanes live; each fork must equal a
+// straight run of its target. Devices carry no checkpoint section, so
+// this pins that a fresh device re-clocked to the halt time is the
+// device the prefix left behind.
+func TestCheckpointForkWholeCatalog(t *testing.T) {
+	targets := []struct {
+		name  string
+		shape func(*core.Config)
+	}{
+		{"dsim", func(c *core.Config) { c.IntraParallel = 2 }},
+		{"rtl-channel", func(c *core.Config) {
+			c.Accel = core.AccelRTL
+			c.UseChannel = true
+			c.IntraParallel = 2
+		}},
+	}
+	for _, b := range workloads.Catalog() {
+		if b.Model == core.AccelNone {
+			continue
+		}
+		blob := checkpointOf(t, b.Name, nil)
+		for _, tg := range targets {
+			_, straight, _ := buildSys(t, b.Name, tg.shape)
+			want := straight()
+			got := resumeFrom(t, blob, b.Name, tg.shape)
+			sameRun(t, b.Name+"/"+tg.name, got, want)
+		}
+	}
+}
+
+// TestCheckpointContentAddressed: the blob is a pure function of the
+// prefix — identical prefixes encode byte-identically.
 func TestCheckpointContentAddressed(t *testing.T) {
 	a := checkpointOf(t, "vta-resnet18", nil)
 	b := checkpointOf(t, "vta-resnet18", nil)
-	if checkpoint.Hash(a) != checkpoint.Hash(b) {
-		t.Fatal("identical prefixes produced different checkpoint hashes")
+	if !bytes.Equal(a, b) {
+		t.Fatal("identical prefixes produced different checkpoint blobs")
 	}
 	c := checkpointOf(t, "protoacc-bench0", nil)
-	if checkpoint.Hash(a) == checkpoint.Hash(c) {
-		t.Fatal("different prefixes collided")
+	if bytes.Equal(a, c) {
+		t.Fatal("different prefixes produced the same blob")
 	}
 }
 

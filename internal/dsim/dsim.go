@@ -45,13 +45,13 @@ type dmaQueue struct {
 // class with RegRead/RegWrite/ExecuteEvent/DmaComplete callbacks, §A.2).
 type Base struct {
 	DevName string
-	Host    accel.Host //simlint:transient wiring to the owning engine, re-established at construction
+	Host    accel.Host
 	Net     *lpn.Net
 
 	queues map[string]*dmaQueue
 	// freeBufs recycles write-payload buffers: a payload is dead once its
 	// DMA is replayed, so WriteDMA reuses it for a later recording.
-	freeBufs [][]byte //simlint:transient recycling pool; contents dead between recordings
+	freeBufs [][]byte
 	now      vclock.Time
 
 	stats     accel.DeviceStats

@@ -193,11 +193,7 @@ func taskP90(name string, host core.HostKind, acc core.AccelKind) vclock.Duratio
 // protoTaskSpans extracts the Protoacc per-task latency log from a
 // system's device.
 func protoTaskSpans(sys *core.System) []protoacc.TaskSpan {
-	raw := sys.Ctx.Devices[0]
-	if u, ok := raw.(interface{ Unwrap() accel.Device }); ok {
-		raw = u.Unwrap()
-	}
-	return raw.(interface{ Latencies() []protoacc.TaskSpan }).Latencies()
+	return accel.Unwrap(sys.Ctx.Devices[0]).(interface{ Latencies() []protoacc.TaskSpan }).Latencies()
 }
 
 // SeedSweep characterizes the NEX error model's distribution: the same

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -117,6 +118,15 @@ func defaultFabricName(model core.AccelModel) string {
 	return "pcie"
 }
 
+// MaxDevices bounds a spec's accelerator count. core.Build gives every
+// device its own banked memory stack before any run budget starts, so
+// an unbounded count lets one request claim gigabytes of heap. The
+// catalog's largest is 8 (vta-resnet18-mp8).
+const MaxDevices = 64
+
+// ErrSpecLimit marks a spec rejected for exceeding a resource bound.
+var ErrSpecLimit = errors.New("experiments: spec exceeds a resource bound")
+
 // Normalized validates s and returns a copy with every defaulted field
 // made explicit — the canonical form that ID() hashes and RunSpec
 // executes. The zero-valued and the explicit-default spelling of the
@@ -169,6 +179,9 @@ func (s Spec) Normalized() (Spec, error) {
 		if f.v < 0 {
 			return Spec{}, fmt.Errorf("experiments: spec field %s must not be negative", f.name)
 		}
+	}
+	if s.Devices > MaxDevices {
+		return Spec{}, fmt.Errorf("%w: devices %d > %d", ErrSpecLimit, s.Devices, MaxDevices)
 	}
 	if s.Cores == 0 {
 		s.Cores = 16

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"nexsim/internal/core"
@@ -42,6 +43,7 @@ func TestSpecValidation(t *testing.T) {
 		{Bench: "jpeg-decode", SyncMode: "sometimes"},
 		{Bench: "jpeg-decode", DMATarget: "l3"},
 		{Bench: "jpeg-decode", Cores: -1},
+		{Bench: "vta-matmul", Devices: MaxDevices + 1},
 	}
 	for _, s := range bad {
 		if _, err := s.Normalized(); err == nil {
@@ -53,6 +55,14 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := RunSpecs([]Spec{{Bench: "jpeg-decode"}, {Bench: "nope"}}); err == nil {
 		t.Error("RunSpecs accepted a batch with an invalid spec")
+	}
+	// core.Build gives every device its own memory stack before any run
+	// budget applies, so the device bound is checked up front.
+	if _, err := (Spec{Bench: "vta-matmul", Devices: MaxDevices + 1}).Normalized(); !errors.Is(err, ErrSpecLimit) {
+		t.Errorf("devices=%d: err = %v, want ErrSpecLimit", MaxDevices+1, err)
+	}
+	if _, err := (Spec{Bench: "vta-matmul", Devices: MaxDevices}).Normalized(); err != nil {
+		t.Errorf("devices=%d rejected: %v", MaxDevices, err)
 	}
 }
 

@@ -198,8 +198,8 @@ func (s Stats) ModeledWall(epoch vclock.Duration) vclock.Duration {
 // Engine is one NEX orchestrator instance.
 type Engine struct {
 	cfg     Config
-	mem     *mem.Memory      //simlint:transient wiring; memory content is checkpointed by core.System
-	devices []*DeviceBinding //simlint:transient wiring; each device snapshots its own section
+	mem     *mem.Memory      //simlint:transient wiring; journal replay regenerates memory content
+	devices []*DeviceBinding //simlint:transient wiring; only the count is encoded, Restore re-clocks fresh devices
 	devTime vclock.Time
 
 	threads []*coro.Thread

@@ -116,9 +116,9 @@ func (e *Engine) ResumeRun() Result {
 }
 
 // SnapshotTo serializes a prefix-halted engine: a configuration
-// fingerprint, the scheduler state, and the replay journal. The encoding
-// is a pure function of the halted state, so identical prefixes produce
-// byte-identical sections.
+// fingerprint (device count included), the scheduler state, and the
+// replay journal. The encoding is a pure function of the halted state,
+// so identical prefixes produce byte-identical sections.
 func (e *Engine) SnapshotTo(enc *checkpoint.Encoder) error {
 	f := e.frame
 	if f == nil {
@@ -135,6 +135,7 @@ func (e *Engine) SnapshotTo(enc *checkpoint.Encoder) error {
 	enc.I64(int64(e.cfg.SyncInterval))
 	enc.Bool(e.cfg.TickMode)
 	enc.U64(e.cfg.Seed)
+	enc.Int(len(e.devices))
 
 	// Engine clocks and counters.
 	enc.I64(int64(e.now))
@@ -259,6 +260,9 @@ func (e *Engine) Restore(dec *checkpoint.Decoder, prog app.Program) error {
 	}
 	if s := dec.U64(); s != e.cfg.Seed {
 		return fmt.Errorf("nex: restore config mismatch: seed %d != %d", s, e.cfg.Seed)
+	}
+	if n := dec.Int(); n != len(e.devices) {
+		return fmt.Errorf("nex: restore config mismatch: %d devices != %d", n, len(e.devices))
 	}
 
 	now := vclock.Time(dec.I64())
@@ -486,8 +490,8 @@ func (e *Engine) Restore(dec *checkpoint.Decoder, prog app.Program) error {
 	e.devTime = devTime
 	// Pre-halt synchronization only moved idle device clocks (the prefix
 	// ends at the *first* device interaction), so re-advancing freshly
-	// built devices reproduces their clocks; any richer device state is
-	// restored by the owner's own checkpoint section afterwards.
+	// built devices to devTime reproduces their entire state; devices
+	// have no section of their own in the blob.
 	for _, b := range e.devices {
 		b.Device.Advance(devTime)
 	}

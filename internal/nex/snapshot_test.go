@@ -180,9 +180,6 @@ func TestSnapshotContentAddressed(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical prefixes produced different blobs")
 	}
-	if checkpoint.Hash(a) != checkpoint.Hash(b) {
-		t.Fatal("hash mismatch")
-	}
 }
 
 func TestSnapshotRequiresHalt(t *testing.T) {
@@ -212,6 +209,33 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	}
 	if err := e2.Restore(dec, snapProg(buf2, 10)); err == nil {
 		t.Fatal("restore accepted mismatched config")
+	}
+}
+
+// TestRestoreRejectsDeviceCountMismatch: devices carry no section of
+// their own, so the engine fingerprint must refuse a blob taken with a
+// different number of attached devices.
+func TestRestoreRejectsDeviceCountMismatch(t *testing.T) {
+	e, _, buf := snapRig(snapCfg())
+	if _, completed := e.RunPrefix(snapProg(buf, 10)); completed {
+		t.Fatal("prefix completed")
+	}
+	enc := checkpoint.NewEncoder()
+	if err := e.SnapshotTo(enc); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, _, buf2 := snapRig(snapCfg())
+	extra := &trapDevice{busy: 20 * us}
+	b := &DeviceBinding{Device: extra, MMIOBase: 0x8000_1000, MMIOSize: 4096}
+	extra.host = e2.HostFor(b)
+	e2.Attach(b)
+	dec, err := checkpoint.NewDecoder(enc.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.Restore(dec, snapProg(buf2, 10)); err == nil {
+		t.Fatal("restore accepted a blob taken with a different device count")
 	}
 }
 

@@ -46,16 +46,10 @@ type IRQCapable interface {
 // advance, unwrapping adapters. Unknown devices report true (inline
 // advance, serial schedule).
 func MayRaiseIRQ(dev accel.Device) bool {
-	for {
-		if c, ok := dev.(IRQCapable); ok {
-			return c.MayRaiseIRQ()
-		}
-		u, ok := dev.(interface{ Unwrap() accel.Device })
-		if !ok {
-			return true
-		}
-		dev = u.Unwrap()
+	if c, ok := accel.Unwrap(dev).(IRQCapable); ok {
+		return c.MayRaiseIRQ()
 	}
+	return true
 }
 
 // lane is one stepper goroutine driving a fixed subset of devices in

@@ -149,11 +149,7 @@ func ProtoaccProgram(pb protoBench, ctx *core.Ctx) app.Program {
 	return app.Program{
 		Name: pb.name,
 		Main: func(e app.Env) {
-			raw := ctx.Devices[0]
-			if u, ok := raw.(interface{ Unwrap() accel.Device }); ok {
-				raw = u.Unwrap()
-			}
-			dev := raw.(interface {
+			dev := accel.Unwrap(ctx.Devices[0]).(interface {
 				RegisterSchema(uint32, *protoacc.MessageDesc)
 			})
 			schema := buildSchema(pb)
